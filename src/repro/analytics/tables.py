@@ -8,17 +8,23 @@ ranges — the representation the batch kernels in
 :mod:`repro.analytics.kernels` sweep without materialising a single
 ``GateLayout`` object.
 
-Decoding is a two-tier affair:
+Decoding uses the two tiers of :mod:`repro.io.fgl`:
 
-* the **canonical scanner** recognises the exact byte stream
-  :func:`repro.io.fgl.layout_to_fgl` emits (fixed 4-space indentation,
-  one leaf per line) with a handful of compiled regexes and appends
-  rows directly into the column buffers;
+* text in the writer's canonical form is read by
+  :func:`repro.io.fgl.scan_canonical` — the one copy of that grammar,
+  shared with :func:`~repro.io.fgl.fgl_to_layout` — whose gate columns
+  extend the batch's columns directly;
 * anything else — foreign indentation, attribute forms, unexpected
-  element order — falls back to the full XML reader
-  (:func:`repro.io.fgl.fgl_to_layout`) and appends the resulting
-  object, so the batch accepts every file the reference path accepts
-  and rejects every file it rejects.
+  element order, entities the writer never emits — is read by the XML
+  tier (:func:`repro.io.fgl.fgl_to_layout_xml`) and the resulting object
+  appended.
+
+So a text decodes to the same rows through either tier, and malformed
+content raises the :class:`~repro.io.fgl.FglError` that
+``fgl_to_layout`` raises.  The one difference is connectivity: a fanin
+that names an empty tile is kept as a dangling row (``fanin_row`` of
+``-1``) for the DRC kernels to count, where ``fgl_to_layout`` refuses
+the text.
 
 Canonical files are written in serialisation order (PIs in interface
 order, a topological middle, POs in interface order), so the row order
@@ -29,11 +35,12 @@ run their own Kahn pass when the property does not hold.
 
 from __future__ import annotations
 
-import re
 from array import array
+from itertools import chain, repeat
+from operator import lt, sub
 
-from ..io.fgl import fgl_to_layout
-from ..layout.clocking import ClockingScheme, get_scheme
+from ..io.fgl import fgl_to_layout_xml, scan_canonical
+from ..layout.clocking import ClockingScheme
 from ..layout.coordinates import Topology
 from ..layout.gate_layout import GateLayout
 from ..networks.logic_network import GateType
@@ -81,125 +88,6 @@ KIND_OF = {gate_type: index for index, gate_type in enumerate(KIND_ORDER)}
 
 #: Expected fanin count per kind (mirrors :attr:`GateType.arity`).
 KIND_ARITY = tuple(gate_type.arity for gate_type in KIND_ORDER)
-
-#: ``.fgl`` type tags (writer tags plus the reader's historical aliases).
-_TAG_TO_KIND = {
-    "PI": KIND_PI,
-    "PO": KIND_PO,
-    "BUF": KIND_BUF,
-    "INV": KIND_NOT,
-    "NOT": KIND_NOT,
-    "AND": KIND_AND,
-    "NAND": KIND_NAND,
-    "OR": KIND_OR,
-    "NOR": KIND_NOR,
-    "XOR": KIND_XOR,
-    "XNOR": KIND_XNOR,
-    "MAJ": KIND_MAJ,
-    "MUX": KIND_MUX,
-    "FANOUT": KIND_FANOUT,
-    "FO": KIND_FANOUT,
-    "CONST0": KIND_CONST0,
-    "CONST1": KIND_CONST1,
-}
-
-_TAG_TO_TOPOLOGY = {
-    "cartesian": Topology.CARTESIAN,
-    "hexagonal_even_row": Topology.HEXAGONAL_EVEN_ROW,
-}
-
-
-# ---------------------------------------------------------------------------
-# Canonical scanner
-# ---------------------------------------------------------------------------
-
-
-class _NotCanonical(Exception):
-    """Internal: the text is not the canonical writer's byte stream."""
-
-
-# The exact prologue layout_to_fgl emits.  Names were escaped with
-# _escape_text (&, <, ", > — no raw '<' or newline survives), so a
-# single-line negative character class captures them safely.
-_HEADER_RE = re.compile(
-    '<\\?xml version="1\\.0" \\?>\n'
-    "<fgl>\n"
-    "    <version>1\\.0</version>\n"
-    "    <layout>\n"
-    "        <name>([^<\n]*)</name>\n"
-    "        <topology>(cartesian|hexagonal_even_row)</topology>\n"
-    "        <size>\n"
-    "            <x>(\\d+)</x>\n"
-    "            <y>(\\d+)</y>\n"
-    "            <z>1</z>\n"
-    "        </size>\n"
-    "        <clocking>\n"
-    "            <name>([^<\n]*)</name>\n"
-)
-
-_ZONE_RE = re.compile(
-    "                <zone>\n"
-    "                    <x>(\\d+)</x>\n"
-    "                    <y>(\\d+)</y>\n"
-    "                    <clock>(\\d+)</clock>\n"
-    "                </zone>\n"
-)
-
-_CLOCKING_CLOSE = "        </clocking>\n    </layout>\n"
-_ZONES_OPEN = "            <zones>\n"
-_ZONES_CLOSE = "            </zones>\n"
-_ZONES_EMPTY = "            <zones/>\n"
-_GATES_EMPTY = "    <gates/>\n</fgl>\n"
-_GATES_OPEN = "    <gates>\n"
-_GATES_CLOSE = "    </gates>\n</fgl>\n"
-
-_GATE_RE = re.compile(
-    "        <gate>\n"
-    "            <id>(\\d+)</id>\n"
-    "            <type>([A-Z0-9]+)</type>\n"
-    "(?:            <name>([^<\n]*)</name>\n)?"
-    "            <loc>\n"
-    "                <x>(\\d+)</x>\n"
-    "                <y>(\\d+)</y>\n"
-    "                <z>(\\d+)</z>\n"
-    "            </loc>\n"
-    "(?:            <incoming>\n"
-    "((?:                <signal>\n"
-    "                    <x>\\d+</x>\n"
-    "                    <y>\\d+</y>\n"
-    "                    <z>\\d+</z>\n"
-    "                </signal>\n"
-    ")+)"
-    "            </incoming>\n"
-    ")?"
-    "        </gate>\n"
-)
-
-_SIGNAL_RE = re.compile(
-    "                <signal>\n"
-    "                    <x>(\\d+)</x>\n"
-    "                    <y>(\\d+)</y>\n"
-    "                    <z>(\\d+)</z>\n"
-    "                </signal>\n"
-)
-
-
-def _unescape(text: str) -> str:
-    """Invert ``repro.io.fgl._escape_text`` (only when entities occur)."""
-    if "&" not in text:
-        return text
-    return (
-        text.replace("&quot;", '"')
-        .replace("&lt;", "<")
-        .replace("&gt;", ">")
-        .replace("&amp;", "&")
-    )
-
-
-def _tile_key(x: int, y: int, z: int) -> int:
-    """Pack a (non-negative) tile coordinate into one int dict key."""
-    return (x << 21) | (y << 1) | z
-
 
 # ---------------------------------------------------------------------------
 # The batch itself
@@ -308,14 +196,34 @@ class LayoutBatch:
     def append_text(self, text: str) -> int:
         """Decode one ``.fgl`` payload; returns its layout index.
 
-        Raises the same :class:`~repro.io.fgl.FglError` the reference
-        reader raises for undecodable payloads.
+        Raises the :class:`~repro.io.fgl.FglError` ``fgl_to_layout``
+        raises for undecodable payloads.
         """
-        try:
-            return self._scan_canonical(text)
-        except _NotCanonical:
+        scanned = scan_canonical(text)
+        if scanned is None:
             self.fallback_decodes += 1
-            return self.append_layout(fgl_to_layout(text))
+            return self.append_layout(fgl_to_layout_xml(text))
+        row_mark = len(self.gx)
+        self.gx.extend(scanned.xs)
+        self.gy.extend(scanned.ys)
+        self.gz.extend(scanned.zs)
+        kind_of = KIND_OF
+        self.kind.extend([kind_of[gate_type] for gate_type in scanned.types])
+        self.gate_names.extend(scanned.names)
+        offset = len(self.fx)
+        self.fanin_start.extend([offset + start for start in scanned.fanin_start[1:]])
+        self.fx.extend(scanned.fx)
+        self.fy.extend(scanned.fy)
+        self.fz.extend(scanned.fz)
+        return self._close_layout(
+            row_mark,
+            scanned.name,
+            scanned.scheme,
+            scanned.topology,
+            scanned.width,
+            scanned.height,
+            scanned.zones,
+        )
 
     # -- accessors ----------------------------------------------------------
 
@@ -335,123 +243,11 @@ class LayoutBatch:
         """Global fanin range ``[f0, f1)`` of row ``row``."""
         return self.fanin_start[row], self.fanin_start[row + 1]
 
-    # -- canonical scanner --------------------------------------------------
-
-    def _scan_canonical(self, text: str) -> int:
-        header = _HEADER_RE.match(text)
-        if header is None:
-            raise _NotCanonical
-        name, topology_tag, width, height, scheme_name = header.groups()
-        scheme_name = _unescape(scheme_name)
-        try:
-            scheme = get_scheme(scheme_name)
-        except (ValueError, KeyError):
-            raise _NotCanonical from None
-
-        pos = header.end()
-        zones: dict[tuple[int, int], int] | None = None
-        if not scheme.regular:
-            zones = {}
-            if text.startswith(_ZONES_EMPTY, pos):
-                pos += len(_ZONES_EMPTY)
-            elif text.startswith(_ZONES_OPEN, pos):
-                pos += len(_ZONES_OPEN)
-                while True:
-                    zone = _ZONE_RE.match(text, pos)
-                    if zone is None:
-                        break
-                    zones[(int(zone.group(1)), int(zone.group(2)))] = int(
-                        zone.group(3)
-                    )
-                    pos = zone.end()
-                if not zones or not text.startswith(_ZONES_CLOSE, pos):
-                    raise _NotCanonical
-                pos += len(_ZONES_CLOSE)
-            else:
-                raise _NotCanonical
-        if not text.startswith(_CLOCKING_CLOSE, pos):
-            raise _NotCanonical
-        pos += len(_CLOCKING_CLOSE)
-
-        # Gate rows mutate the shared columns; any rejection from here
-        # on must roll the columns back before falling back.
-        row_mark = len(self.gx)
-        fanin_mark = len(self.fx)
-        try:
-            if text.startswith(_GATES_EMPTY, pos):
-                if pos + len(_GATES_EMPTY) != len(text):
-                    raise _NotCanonical
-            else:
-                if not text.startswith(_GATES_OPEN, pos):
-                    raise _NotCanonical
-                pos = self._scan_gates(text, pos + len(_GATES_OPEN))
-                if not text.startswith(_GATES_CLOSE, pos):
-                    raise _NotCanonical
-                if pos + len(_GATES_CLOSE) != len(text):
-                    raise _NotCanonical
-            sorted_flag, dangling_flag = self._resolve_rows(row_mark, len(self.gx))
-        except _NotCanonical:
-            del self.gx[row_mark:], self.gy[row_mark:], self.gz[row_mark:]
-            del self.kind[row_mark:], self.gate_names[row_mark:]
-            del self.fanin_start[row_mark + 1 :]
-            del self.fx[fanin_mark:], self.fy[fanin_mark:], self.fz[fanin_mark:]
-            raise
-
-        index = len(self.names)
-        self.names.append(_unescape(name))
-        self.scheme_names.append(scheme_name)
-        self.schemes.append(scheme)
-        self.topologies.append(
-            0 if _TAG_TO_TOPOLOGY[topology_tag] is Topology.CARTESIAN else 1
-        )
-        self.widths.append(int(width))
-        self.heights.append(int(height))
-        self.num_phases.append(scheme.num_phases)
-        self.explicit_zones.append(zones)
-        self.gate_start.append(len(self.gx))
-        self.sorted_flags.append(sorted_flag)
-        self.dangling_flags.append(dangling_flag)
-        return index
-
-    def _scan_gates(self, text: str, pos: int) -> int:
-        """Append gate rows scanned from ``text``; returns the end offset."""
-        gx, gy, gz = self.gx, self.gy, self.gz
-        kinds, gate_names = self.kind, self.gate_names
-        fanin_start = self.fanin_start
-        fx, fy, fz = self.fx, self.fy, self.fz
-        tag_to_kind = _TAG_TO_KIND
-        gate_match = _GATE_RE.match
-        signal_findall = _SIGNAL_RE.findall
-        local = 0
-        while True:
-            gate = gate_match(text, pos)
-            if gate is None:
-                return pos
-            gate_id, tag, name, x, y, z, incoming = gate.groups()
-            # The writer numbers gates sequentially in file order.
-            if int(gate_id) != local:
-                raise _NotCanonical
-            kind = tag_to_kind.get(tag)
-            if kind is None:
-                raise _NotCanonical
-            gx.append(int(x))
-            gy.append(int(y))
-            gz.append(int(z))
-            kinds.append(kind)
-            gate_names.append(_unescape(name) if name else None)
-            if incoming is not None:
-                for sx, sy, sz in signal_findall(incoming):
-                    fx.append(int(sx))
-                    fy.append(int(sy))
-                    fz.append(int(sz))
-            fanin_start.append(len(fx))
-            local += 1
-            pos = gate.end()
-
-    # -- object fallback ----------------------------------------------------
+    # -- object path --------------------------------------------------------
 
     def append_layout(self, layout: GateLayout) -> int:
-        """Append an already-parsed layout (the non-canonical path)."""
+        """Append an already-parsed layout (also the non-canonical path)."""
+        row_mark = len(self.gx)
         pi_or_po = set(layout.pis()) | set(layout.pos())
         middle = sorted(
             (tile for tile, _ in layout.tiles() if tile not in pi_or_po),
@@ -469,24 +265,36 @@ class LayoutBatch:
                 self.fy.append(fanin.y)
                 self.fz.append(fanin.z)
             self.fanin_start.append(len(self.fx))
-        row_mark = self.gate_start[len(self.names)]
-        sorted_flag, dangling_flag = self._resolve_rows(row_mark, len(self.gx))
-
-        index = len(self.names)
-        scheme = layout.scheme
         zones = None
-        if not scheme.regular:
+        if not layout.scheme.regular:
             zones = {
                 (tile.x, tile.y): layout.zone(tile)
                 for tile, _ in layout.tiles()
                 if tile.z == 0
             }
-        self.names.append(layout.name or "layout")
+        return self._close_layout(
+            row_mark,
+            layout.name or "layout",
+            layout.scheme,
+            layout.topology,
+            layout.width,
+            layout.height,
+            zones,
+        )
+
+    def _close_layout(
+        self, row_mark, name, scheme, topology, width, height, zones
+    ) -> int:
+        """Resolve the rows appended since ``row_mark`` and append the
+        per-layout columns; returns the new layout's index."""
+        sorted_flag, dangling_flag = self._resolve_rows(row_mark, len(self.gx))
+        index = len(self.names)
+        self.names.append(name)
         self.scheme_names.append(scheme.name)
         self.schemes.append(scheme)
-        self.topologies.append(0 if layout.topology is Topology.CARTESIAN else 1)
-        self.widths.append(layout.width)
-        self.heights.append(layout.height)
+        self.topologies.append(0 if topology is Topology.CARTESIAN else 1)
+        self.widths.append(width)
+        self.heights.append(height)
         self.num_phases.append(scheme.num_phases)
         self.explicit_zones.append(zones)
         self.gate_start.append(len(self.gx))
@@ -500,36 +308,27 @@ class LayoutBatch:
         """Resolve fanin endpoints of rows ``[r0, r1)`` to row indices.
 
         Appends ``ground_occupied`` and ``fanin_row`` entries and returns
-        the ``(sorted, dangling)`` flag pair.  Duplicate tile occupancy
-        cannot come out of a real layout, so it demotes the text to the
-        strict fallback reader (which reports it as a proper error).
+        the ``(sorted, dangling)`` flag pair.  Rows occupy distinct tiles:
+        layouts cannot hold two gates on one tile, and the scanner sends
+        such a text to the XML tier, which refuses it.
         """
-        gx, gy, gz = self.gx, self.gy, self.gz
-        position_to_row: dict[int, int] = {}
-        for row in range(r0, r1):
-            key = _tile_key(gx[row], gy[row], gz[row])
-            if key in position_to_row:
-                raise _NotCanonical
-            position_to_row[key] = row
-
-        fanin_row = self.fanin_row
-        ground = self.ground_occupied
-        fx, fy, fz = self.fx, self.fy, self.fz
-        fanin_start = self.fanin_start
-        is_sorted = 1
-        dangling = 0
-        for row in range(r0, r1):
-            if gz[row] == 0:
-                ground.append(1)
-            else:
-                ground.append(
-                    1 if _tile_key(gx[row], gy[row], 0) in position_to_row else 0
-                )
-            for j in range(fanin_start[row], fanin_start[row + 1]):
-                resolved = position_to_row.get(_tile_key(fx[j], fy[j], fz[j]), -1)
-                fanin_row.append(resolved)
-                if resolved < 0:
-                    dangling = 1
-                elif resolved >= row:
-                    is_sorted = 0
-        return is_sorted, dangling
+        gx, gy, gz = self.gx[r0:r1], self.gy[r0:r1], self.gz[r0:r1]
+        position_to_row = dict(zip(zip(gx, gy, gz), range(r0, r1)))
+        self.ground_occupied.extend(
+            map(position_to_row.__contains__, zip(gx, gy, repeat(0)))
+        )
+        starts = self.fanin_start[r0 : r1 + 1]
+        f0, f1 = starts[0], starts[-1]
+        resolved = list(
+            map(
+                position_to_row.get,
+                zip(self.fx[f0:f1], self.fy[f0:f1], self.fz[f0:f1]),
+                repeat(-1),
+            )
+        )
+        self.fanin_row.extend(resolved)
+        # The reading row of each fanin, to check it reads an earlier row.
+        counts = map(sub, starts[1:], starts)
+        readers = chain.from_iterable(map(repeat, range(r0, r1), counts))
+        is_sorted = all(map(lt, resolved, readers))
+        return int(is_sorted), int(-1 in resolved)

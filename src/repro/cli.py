@@ -44,7 +44,7 @@ from .core import (
     format_table,
     table_row,
 )
-from .io import read_fgl
+from .io import FglError, read_fgl
 from .layout import compute_metrics, write_svg
 from .networks import format_profile
 
@@ -375,8 +375,20 @@ def _cmd_best(args) -> int:
     return 0
 
 
+def _read_layout_file(command: str, path):
+    """``read_fgl`` for the file commands: ``None`` (after a one-line
+    message) when the file is missing or malformed."""
+    try:
+        return read_fgl(path)
+    except (OSError, FglError) as exc:
+        print(f"mnt-bench {command}: {path}: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_show(args) -> int:
-    layout = read_fgl(args.file)
+    layout = _read_layout_file("show", args.file)
+    if layout is None:
+        return 2
     print(layout)
     print(compute_metrics(layout))
     print(layout.render())
@@ -384,7 +396,9 @@ def _cmd_show(args) -> int:
 
 
 def _cmd_svg(args) -> int:
-    layout = read_fgl(args.file)
+    layout = _read_layout_file("svg", args.file)
+    if layout is None:
+        return 2
     output = args.output or str(Path(args.file).with_suffix(".svg"))
     write_svg(layout, output)
     print(f"rendered {args.file} -> {output}")

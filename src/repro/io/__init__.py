@@ -4,6 +4,7 @@ from .fgl import (
     FGL_VERSION,
     FglError,
     fgl_to_layout,
+    fgl_to_layout_xml,
     layout_to_fgl,
     layout_to_fgl_reference,
     read_fgl,
@@ -17,6 +18,7 @@ __all__ = [
     "FglError",
     "cell_layout_to_qca",
     "fgl_to_layout",
+    "fgl_to_layout_xml",
     "layout_to_fgl",
     "layout_to_fgl_reference",
     "qca_to_cell_layout",

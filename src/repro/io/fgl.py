@@ -12,31 +12,39 @@ This module provides a faithful, round-trip-safe implementation:
 this reproduction produces can be serialised and re-read losslessly
 (including crossing-layer wires and OPEN-clocked per-tile zones).
 
-Serialisation is the platform's hottest I/O path (every generated,
-optimized or downloaded artifact passes through it), so both directions
-are streaming:
+Every stored artifact passes through this module whenever it becomes a
+layout again, so both directions avoid building a DOM:
 
 * :func:`layout_to_fgl` emits the canonical pretty-printed document
   directly — byte-for-byte identical to the historical
   ``minidom.parseString(ET.tostring(...)).toprettyxml(indent="    ")``
-  round trip, without building either DOM.  The old implementation is
-  retained as :func:`layout_to_fgl_reference` and the ``fgl_roundtrip``
-  oracle in :mod:`repro.qa` asserts the two writers agree on every
-  fuzzed layout.
-* :func:`read_fgl` / :func:`fgl_to_layout` parse incrementally via
-  :func:`xml.etree.ElementTree.iterparse`, releasing each ``<gate>``
-  element as soon as it has been recorded instead of materialising the
-  whole tree.
+  round trip, which is retained as :func:`layout_to_fgl_reference`.
+* Reading has two tiers.  :func:`scan_canonical` matches the exact bytes
+  the writer emits with a few compiled regexes and returns the header
+  fields and the gates as columns; it is the only copy of that grammar,
+  shared with the columnar decoder in :mod:`repro.analytics.tables`.  Any other text —
+  foreign indentation, attributes, reordered elements, entities or
+  characters the writer never emits — goes to the XML tier
+  (:func:`fgl_to_layout_xml`), an
+  :func:`~xml.etree.ElementTree.iterparse` reader that releases each
+  ``<gate>`` as soon as it is recorded.  Both tiers build the layout
+  with the same code, so a text reads to the same layout either way,
+  and malformed content raises :class:`FglError` (a ``ValueError``)
+  naming the element, from either tier.
 """
 
 from __future__ import annotations
 
 import heapq
 import io
+import re
 import xml.etree.ElementTree as ET
+from array import array
+from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
-from ..layout.clocking import get_scheme
+from ..layout.clocking import ClockingScheme, get_scheme
 from ..layout.coordinates import Tile, Topology
 from ..layout.gate_layout import GateLayout
 from ..networks.logic_network import GateType
@@ -269,9 +277,264 @@ def write_fgl(layout: GateLayout, path) -> None:
     """Write a layout to an ``.fgl`` file."""
     Path(path).write_text(layout_to_fgl(layout), encoding="utf-8")
 
+# ---------------------------------------------------------------------------
+# Reading, tier 1: the canonical scanner
+# ---------------------------------------------------------------------------
+
+# A name as the writer emits it after _escape_text: no markup character,
+# no line break, no character XML forbids, and no entity but the four
+# _escape_text writes.  Other entities, a raw '>' (and so ']]>') and
+# '\r' (which XML turns into '\n') are left to the XML tier, as is a
+# name with surrounding whitespace (the XML tier strips it).
+_NAME = (
+    '((?:[^<>&"\\r\\n\\x00-\\x08\\x0b\\x0c\\x0e-\\x1f\\ud800-\\udfff\\ufffe\\uffff]'
+    "|&(?:amp|lt|gt|quot);)+)"
+)
+_NUM = "([0-9]{1,9})"
+
+_HEADER_RE = re.compile(
+    '<\\?xml version="1\\.0" \\?>\n'
+    "<fgl>\n"
+    "    <version>1\\.0</version>\n"
+    "    <layout>\n"
+    f"        <name>{_NAME}</name>\n"
+    "        <topology>(cartesian|hexagonal_even_row)</topology>\n"
+    "        <size>\n"
+    f"            <x>{_NUM}</x>\n"
+    f"            <y>{_NUM}</y>\n"
+    "            <z>1</z>\n"
+    "        </size>\n"
+    "        <clocking>\n"
+    f"            <name>{_NAME}</name>\n"
+)
+
+_ZONE_RE = re.compile(
+    "                <zone>\n"
+    f"                    <x>{_NUM}</x>\n"
+    f"                    <y>{_NUM}</y>\n"
+    f"                    <clock>{_NUM}</clock>\n"
+    "                </zone>\n"
+)
+
+_CLOCKING_CLOSE = "        </clocking>\n    </layout>\n"
+_ZONES_OPEN = "            <zones>\n"
+_ZONES_CLOSE = "            </zones>\n"
+_ZONES_EMPTY = "            <zones/>\n"
+_GATES_EMPTY = "    <gates/>\n</fgl>\n"
+_GATES_OPEN = "    <gates>\n"
+_GATES_CLOSE = "    </gates>\n</fgl>\n"
+
+_SIGNAL = (
+    "                <signal>\n"
+    f"                    <x>{_NUM}</x>\n"
+    f"                    <y>{_NUM}</y>\n"
+    f"                    <z>{_NUM}</z>\n"
+    "                </signal>\n"
+)
+_SIGNAL_RE = re.compile(_SIGNAL)
+
+# The first signal is captured by the gate pattern itself: most gates
+# (wires, fanouts, inverters, POs) have exactly one.
+_GATE_RE = re.compile(
+    "        <gate>\n"
+    f"            <id>{_NUM}</id>\n"
+    "            <type>([A-Z0-9]+)</type>\n"
+    f"(?:            <name>{_NAME}</name>\n)?"
+    "            <loc>\n"
+    f"                <x>{_NUM}</x>\n"
+    f"                <y>{_NUM}</y>\n"
+    f"                <z>{_NUM}</z>\n"
+    "            </loc>\n"
+    "(?:            <incoming>\n"
+    f"{_SIGNAL}"
+    f"((?:{_SIGNAL.replace(_NUM, '[0-9]{1,9}')})*)"
+    "            </incoming>\n"
+    ")?"
+    "        </gate>\n"
+)
+
+_TAG_TO_TYPE_ARITY = {tag: (t, t.arity) for tag, t in _TAG_TO_TYPE.items()}
+
+
+def _unescape(text: str) -> str:
+    """Invert :func:`_escape_text` (only when entities occur)."""
+    if "&" not in text:
+        return text
+    return (
+        text.replace("&quot;", '"')
+        .replace("&lt;", "<")
+        .replace("&gt;", ">")
+        .replace("&amp;", "&")
+    )
+
+
+class CanonicalFgl(NamedTuple):
+    """Header fields and gate columns of one canonical ``.fgl`` text.
+
+    Gate ``i`` of the file (id ``i``) has type ``types[i]``, pin name
+    ``names[i]`` (``None`` for none) and tile ``(xs[i], ys[i], zs[i])``;
+    its fanins are ``(fx[j], fy[j], fz[j])`` for ``j`` in
+    ``range(fanin_start[i], fanin_start[i + 1])``.
+    """
+
+    name: str
+    topology: Topology
+    width: int
+    height: int
+    scheme: ClockingScheme
+    #: ``{(x, y): clock}`` for irregular schemes, else ``None``.
+    zones: dict[tuple[int, int], int] | None
+    types: list[GateType]
+    names: list[str | None]
+    xs: array
+    ys: array
+    zs: array
+    fanin_start: array
+    fx: array
+    fy: array
+    fz: array
+
+    def records(self) -> list[tuple]:
+        """The gates as ``(id, type, name, (x, y, z), fanins)`` records,
+        the form the XML tier collects."""
+        signals = list(_tiles(self.fx, self.fy, self.fz))
+        starts = self.fanin_start
+        return [
+            (i, gate_type, name, tile, signals[starts[i] : starts[i + 1]])
+            for i, (gate_type, name, tile) in enumerate(
+                zip(self.types, self.names, _tiles(self.xs, self.ys, self.zs))
+            )
+        ]
+
+
+def _tiles(xs, ys, zs):
+    """:class:`Tile` objects for coordinate columns, made by the C-level
+    ``tuple.__new__`` rather than one Python-level ``Tile()`` call each."""
+    return map(tuple.__new__, repeat(Tile), zip(xs, ys, zs))
+
+
+def scan_canonical(text: str) -> CanonicalFgl | None:
+    """Scan ``text`` if it has exactly the shape :func:`layout_to_fgl`
+    writes; return ``None`` for anything else.
+
+    Besides the byte shape the scanner checks what every written file
+    satisfies: a known scheme, a positive size, zone clocks in range,
+    gate ids numbered in file order, known type tags, and every gate in
+    bounds, alone on its tile, with its type's fanin count and — on the
+    crossing layer — a wire.  Whether fanins resolve to occupied tiles
+    is left to the caller.  ``None`` sends the text to the XML tier,
+    which accepts it or raises the :class:`FglError` naming the element.
+    """
+    header = _HEADER_RE.match(text)
+    if header is None:
+        return None
+    name, topology_tag, width, height, scheme_name = header.groups()
+    width, height = int(width), int(height)
+    if not (width and height) or name.strip() != name:
+        return None
+    try:
+        scheme = get_scheme(_unescape(scheme_name))
+    except ValueError:
+        return None
+
+    pos = header.end()
+    zones: dict[tuple[int, int], int] | None = None
+    if not scheme.regular:
+        zones = {}
+        if text.startswith(_ZONES_EMPTY, pos):
+            pos += len(_ZONES_EMPTY)
+        elif text.startswith(_ZONES_OPEN, pos):
+            pos += len(_ZONES_OPEN)
+            while (zone := _ZONE_RE.match(text, pos)) is not None:
+                x, y, clock = zone.groups()
+                if int(clock) >= scheme.num_phases:
+                    return None
+                zones[(int(x), int(y))] = int(clock)
+                pos = zone.end()
+            if not zones or not text.startswith(_ZONES_CLOSE, pos):
+                return None
+            pos += len(_ZONES_CLOSE)
+        else:
+            return None
+    if not text.startswith(_CLOCKING_CLOSE, pos):
+        return None
+    pos += len(_CLOCKING_CLOSE)
+
+    if text.startswith(_GATES_EMPTY, pos):
+        _, gates = _scan_gates("", 0, width, height)  # no gates
+        end = pos + len(_GATES_EMPTY)
+    elif text.startswith(_GATES_OPEN, pos):
+        scanned = _scan_gates(text, pos + len(_GATES_OPEN), width, height)
+        if scanned is None or not text.startswith(_GATES_CLOSE, scanned[0]):
+            return None
+        end, gates = scanned
+        end += len(_GATES_CLOSE)
+    else:
+        return None
+    if end != len(text):
+        return None
+    return CanonicalFgl(
+        _unescape(name), _TAG_TO_TOPOLOGY[topology_tag], width, height, scheme,
+        zones, *gates,
+    )
+
+
+def _scan_gates(text: str, pos: int, width: int, height: int):
+    """Scan the ``<gate>`` run at ``pos``: ``(end, columns)`` with the
+    gate columns of :class:`CanonicalFgl` in field order, or ``None``
+    when a gate fails a check of :func:`scan_canonical`."""
+    types: list[GateType] = []
+    names: list[str | None] = []
+    xs, ys, zs = array("i"), array("i"), array("i")
+    fanin_start = array("i", [0])
+    fx, fy, fz = array("i"), array("i"), array("i")
+    gate_match = _GATE_RE.match
+    signal_findall = _SIGNAL_RE.findall
+    tag_to_type_arity = _TAG_TO_TYPE_ARITY
+    wire = GateType.BUF
+    count = 0
+    while (gate := gate_match(text, pos)) is not None:
+        gate_id, tag, name, x, y, z, sx, sy, sz, more = gate.groups()
+        # An unknown tag gets an arity no gate has, failing the check below.
+        gate_type, arity = tag_to_type_arity.get(tag, (None, -1))
+        x, y, z = int(x), int(y), int(z)
+        if sx is not None:
+            fx.append(int(sx))
+            fy.append(int(sy))
+            fz.append(int(sz))
+            if more:
+                for a, b, c in signal_findall(more):
+                    fx.append(int(a))
+                    fy.append(int(b))
+                    fz.append(int(c))
+        if (
+            len(fx) - fanin_start[-1] != arity
+            or int(gate_id) != count
+            or x >= width
+            or y >= height
+            or z > 1
+            or (z and gate_type is not wire)
+        ):
+            return None
+        if name is not None:
+            if name.strip() != name:
+                return None
+            name = _unescape(name)
+        types.append(gate_type)
+        names.append(name)
+        xs.append(x)
+        ys.append(y)
+        zs.append(z)
+        fanin_start.append(len(fx))
+        count += 1
+        pos = gate.end()
+    if len(set(zip(xs, ys, zs))) != count:
+        return None  # two gates on one tile
+    return pos, (types, names, xs, ys, zs, fanin_start, fx, fy, fz)
+
 
 # ---------------------------------------------------------------------------
-# Reading
+# Reading, tier 2: the XML reader
 # ---------------------------------------------------------------------------
 
 
@@ -306,7 +569,6 @@ def _header_to_layout(header: ET.Element) -> GateLayout:
     topology_tag = _text_child(header, "topology", "<layout>")
     if topology_tag not in _TAG_TO_TOPOLOGY:
         raise FglError(f"unknown topology {topology_tag!r}")
-    topology = _TAG_TO_TOPOLOGY[topology_tag]
     size = header.find("size")
     if size is None:
         raise FglError("missing <size>")
@@ -315,23 +577,28 @@ def _header_to_layout(header: ET.Element) -> GateLayout:
     clocking = header.find("clocking")
     if clocking is None:
         raise FglError("missing <clocking>")
-    scheme = get_scheme(_text_child(clocking, "name", "<clocking>"))
-
-    layout = GateLayout(width, height, scheme, topology, name)
-    zones = clocking.find("zones")
-    if zones is not None:
+    scheme_name = _text_child(clocking, "name", "<clocking>")
+    try:
+        scheme = get_scheme(scheme_name)
+    except ValueError as exc:
+        raise FglError(f"<clocking>: {exc}") from None
+    zones = None
+    zones_el = clocking.find("zones")
+    if zones_el is not None:
         if scheme.regular:
             raise FglError(f"scheme {scheme.name} is regular but zones are given")
-        for zone in zones.findall("zone"):
+        zones = {}
+        for zone in zones_el.findall("zone"):
             x = _int_child(zone, "x", "<zone>")
             y = _int_child(zone, "y", "<zone>")
-            clock = _int_child(zone, "clock", "<zone>")
-            layout.assign_zone(Tile(x, y), clock)
-    return layout
+            zones[(x, y)] = _int_child(zone, "clock", "<zone>")
+    return _new_layout(
+        name, _TAG_TO_TOPOLOGY[topology_tag], width, height, scheme, zones
+    )
 
 
-def _gate_record(element: ET.Element):
-    """Extract one ``(id, type, name, tile, fanins)`` gate record."""
+def _gate_record(element: ET.Element) -> tuple:
+    """Extract one gate record from a ``<gate>`` element."""
     gate_id = _int_child(element, "id", "<gate>")
     tag = _text_child(element, "type", f"gate {gate_id}")
     if tag not in _TAG_TO_TYPE:
@@ -348,6 +615,11 @@ def _gate_record(element: ET.Element):
     if incoming is not None:
         for signal in incoming.findall("signal"):
             fanins.append(_tile_of(signal, f"gate {gate_id} signal"))
+    if len(fanins) != gate_type.arity:
+        raise FglError(
+            f"{tag} at {tile} (gate {gate_id}) has {len(fanins)} incoming "
+            f"signals, expected {gate_type.arity}"
+        )
     return (gate_id, gate_type, gate_name, tile, fanins)
 
 
@@ -358,11 +630,18 @@ def _parse_fgl(source) -> GateLayout:
     ``<gate>`` element as soon as its record is extracted, so reading a
     large artifact never holds the whole document tree.
     """
+    try:
+        return _iterparse_fgl(source)
+    except ET.ParseError as exc:
+        raise FglError(f"not well-formed XML: {exc}") from exc
+    except (UnicodeError, LookupError) as exc:
+        raise FglError(f"undecodable document: {exc}") from exc
+
+
+def _iterparse_fgl(source) -> GateLayout:
     parser = ET.iterparse(source, events=("start", "end"))
     try:
         _, root = next(parser)
-    except ET.ParseError as exc:
-        raise FglError(f"not well-formed XML: {exc}") from exc
     except StopIteration:
         raise FglError("empty document") from None
     if root.tag != "fgl":
@@ -372,28 +651,46 @@ def _parse_fgl(source) -> GateLayout:
     gates_elem: ET.Element | None = None
     records = []
     stack: list[ET.Element] = [root]
-    try:
-        for event, elem in parser:
-            if event == "start":
-                if len(stack) == 1 and elem.tag == "gates" and gates_elem is None:
-                    gates_elem = elem
-                stack.append(elem)
-                continue
-            stack.pop()
-            if len(stack) == 2 and elem.tag == "gate" and stack[-1] is gates_elem:
-                records.append(_gate_record(elem))
-                gates_elem.remove(elem)
-            elif len(stack) == 1:
-                if elem.tag == "layout" and layout is None:
-                    layout = _header_to_layout(elem)
-                root.remove(elem)
-    except ET.ParseError as exc:
-        raise FglError(f"not well-formed XML: {exc}") from exc
+    for event, elem in parser:
+        if event == "start":
+            if len(stack) == 1 and elem.tag == "gates" and gates_elem is None:
+                gates_elem = elem
+            stack.append(elem)
+            continue
+        stack.pop()
+        if len(stack) == 2 and elem.tag == "gate" and stack[-1] is gates_elem:
+            records.append(_gate_record(elem))
+            gates_elem.remove(elem)
+        elif len(stack) == 1:
+            if elem.tag == "layout" and layout is None:
+                layout = _header_to_layout(elem)
+            root.remove(elem)
     if layout is None:
         raise FglError("missing <layout> header")
     if gates_elem is None:
         raise FglError("missing <gates>")
     return _place_records(layout, records)
+
+
+# ---------------------------------------------------------------------------
+# Reading: building the layout (shared by both tiers)
+# ---------------------------------------------------------------------------
+
+
+def _new_layout(name, topology, width, height, scheme, zones) -> GateLayout:
+    """The empty layout a header describes; ``zones`` maps ``(x, y)`` to
+    a clock for irregular schemes."""
+    if width < 1 or height < 1:
+        raise FglError(f"<size> must be positive, got {width}x{height}")
+    layout = GateLayout(width, height, scheme, topology, name)
+    for (x, y), clock in (zones or {}).items():
+        if not 0 <= clock < scheme.num_phases:
+            raise FglError(
+                f"<zone> at ({x},{y}) has clock {clock}, "
+                f"outside 0..{scheme.num_phases - 1}"
+            )
+        layout.assign_zone(Tile(x, y), clock)
+    return layout
 
 
 def _place_records(layout: GateLayout, records) -> GateLayout:
@@ -402,54 +699,81 @@ def _place_records(layout: GateLayout, records) -> GateLayout:
     placed: set[Tile] = set()
     pending = records
     while pending:
-        progressed = []
         stuck = []
         for record in pending:
-            _, gate_type, gate_name, tile, fanins = record
-            if all(f in placed for f in fanins):
-                _create(layout, gate_type, gate_name, tile, fanins)
-                placed.add(tile)
-                progressed.append(record)
+            if placed.issuperset(record[4]):
+                _create(layout, record)
+                placed.add(record[3])
             else:
                 stuck.append(record)
-        if not progressed:
+        if len(stuck) == len(pending):
             missing = ", ".join(str(r[3]) for r in stuck[:5])
             raise FglError(f"gates with unresolvable fanins: {missing}")
         pending = stuck
     return layout
 
 
+def _create(layout: GateLayout, record: tuple) -> None:
+    gate_id, gate_type, name, tile, fanins = record
+    try:
+        if gate_type is GateType.BUF and not name:
+            layout.create_wire(tile, fanins[0])
+        elif gate_type is GateType.PI:
+            layout.create_pi(tile, name)
+        elif gate_type is GateType.PO:
+            layout.create_po(tile, fanins[0], name)
+        else:
+            layout.create_gate(gate_type, tile, fanins, name)
+    except ValueError as exc:
+        raise FglError(f"gate {gate_id} ({_TYPE_TO_TAG[gate_type]}): {exc}") from None
+
+
+# ---------------------------------------------------------------------------
+# Reading: entry points
+# ---------------------------------------------------------------------------
+
+
+def _build_layout(scanned: CanonicalFgl) -> GateLayout:
+    layout = _new_layout(
+        scanned.name, scanned.topology, scanned.width, scanned.height,
+        scanned.scheme, scanned.zones,
+    )
+    return _place_records(layout, scanned.records())
+
+
 def fgl_to_layout(text: str) -> GateLayout:
-    """Parse ``.fgl`` XML into a :class:`GateLayout`."""
+    """Parse ``.fgl`` XML into a :class:`GateLayout`.
+
+    Canonical text takes the scanner; anything else takes the XML tier.
+    Both raise :class:`FglError` for content no layout can be built from.
+    """
+    scanned = scan_canonical(text)
+    if scanned is None:
+        return fgl_to_layout_xml(text)
+    return _build_layout(scanned)
+
+
+def fgl_to_layout_xml(text: str) -> GateLayout:
+    """Parse ``.fgl`` XML through the XML tier alone.
+
+    The reader for text the scanner leaves aside, and the independent
+    side of the differential checks on :func:`fgl_to_layout`.
+    """
     return _parse_fgl(io.StringIO(text))
 
 
-def _create(layout: GateLayout, gate_type: GateType, name, tile: Tile, fanins) -> None:
-    if gate_type is GateType.PI:
-        if fanins:
-            raise FglError(f"PI at {tile} has incoming signals")
-        layout.create_pi(tile, name)
-    elif gate_type is GateType.PO:
-        if len(fanins) != 1:
-            raise FglError(f"PO at {tile} needs exactly one incoming signal")
-        layout.create_po(tile, fanins[0], name)
-    elif gate_type is GateType.BUF and tile.z == 1:
-        layout.create_gate(GateType.BUF, tile, fanins, name)
-    elif gate_type is GateType.BUF:
-        if len(fanins) != 1:
-            raise FglError(f"wire at {tile} needs exactly one incoming signal")
-        layout.create_wire(tile, fanins[0])
-    else:
-        if len(fanins) != gate_type.arity:
-            raise FglError(
-                f"{gate_type.value} at {tile} has {len(fanins)} incoming "
-                f"signals, expected {gate_type.arity}"
-            )
-        layout.create_gate(gate_type, tile, fanins, name)
-
-
 def read_fgl(path) -> GateLayout:
-    """Read an ``.fgl`` file into a :class:`GateLayout`, streaming
-    straight from disk without materialising the text first."""
-    with open(path, "rb") as handle:
-        return _parse_fgl(handle)
+    """Read an ``.fgl`` file into a :class:`GateLayout`.
+
+    UTF-8 files in the canonical form take the scanner.  Every other
+    file goes to the XML tier as bytes, so its XML declaration decides
+    the encoding; bytes that do not decode raise :class:`FglError`.
+    """
+    data = Path(path).read_bytes()
+    try:
+        scanned = scan_canonical(data.decode("utf-8"))
+    except UnicodeDecodeError:
+        scanned = None
+    if scanned is None:
+        return _parse_fgl(io.BytesIO(data))
+    return _build_layout(scanned)

@@ -8,8 +8,9 @@ Each oracle inspects one invariant the benchmark database relies on:
   (word-level simulation via :func:`repro.layout.equivalence`);
 * ``fgl_roundtrip`` — ``.fgl`` serialisation is lossless *and* stable
   (write → read reproduces the layout structurally, write → read →
-  write reproduces the byte stream, and the streaming writer matches
-  the retained minidom reference writer byte-for-byte);
+  write reproduces the byte stream, the canonical scanner and the XML
+  tier of the reader read the same layout, and the streaming writer
+  matches the retained minidom reference writer byte-for-byte);
 * ``cell_level`` — the gate library applies cleanly, the resulting cell
   layout passes cell-level DRC, and its ``.qca``/``.sqd`` serialisation
   round-trips;
@@ -51,7 +52,13 @@ from dataclasses import dataclass, replace
 
 from ..celllayout.verification import check_qca_cells, check_sidb_dots
 from ..gatelibs.apply import apply_gate_library
-from ..io.fgl import FglError, fgl_to_layout, layout_to_fgl, layout_to_fgl_reference
+from ..io.fgl import (
+    FglError,
+    fgl_to_layout,
+    fgl_to_layout_xml,
+    layout_to_fgl,
+    layout_to_fgl_reference,
+)
 from ..io.qca import cell_layout_to_qca, qca_to_cell_layout
 from ..io.sqd import sidb_layout_to_sqd, sqd_to_sidb_layout
 from ..layout.coordinates import Topology
@@ -120,6 +127,16 @@ def check_fgl_roundtrip(network: LogicNetwork, layout: GateLayout) -> str | None
     second = layout_to_fgl(restored)
     if second != text:
         return "write→read→write is not byte-stable"
+    try:
+        through_xml = fgl_to_layout_xml(text)
+    except FglError as exc:
+        return f"the XML tier rejects what the canonical tier read: {exc!r}"
+    diff = restored.structural_diff(through_xml)
+    if diff is not None or layout_to_fgl(through_xml) != text:
+        return (
+            "canonical and XML tiers read different layouts: "
+            f"{diff or 'bytes differ'}"
+        )
     reference = layout_to_fgl_reference(layout)
     if text != reference:
         return "streaming writer diverges from the minidom reference output"

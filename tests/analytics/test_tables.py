@@ -1,7 +1,9 @@
 """LayoutBatch decoding: canonical scanner, fallback path, parity."""
 
+import pytest
+
 from repro.analytics import LayoutBatch, analyze_texts
-from repro.io.fgl import fgl_to_layout, layout_to_fgl
+from repro.io.fgl import FglError, fgl_to_layout, layout_to_fgl
 from repro.networks.library import mux21
 from repro.networks.logic_network import LogicNetwork
 from repro.physical_design.ortho import orthogonal_layout
@@ -71,6 +73,28 @@ class TestCanonicalScanner:
             analyze_texts([t], with_signatures=True)[0] for t in texts
         ]
         assert combined == singles
+
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("<type>INV</type>", "<type>CONST0</type>"),
+            ("<type>PI</type>", "<type>AND</type>"),
+            ("<x>0</x>\n                <y>0</y>\n                <z>0</z>",
+             "<x>0</x>\n                <y>0</y>\n                <z>1</z>"),
+            ("<y>1</y>\n            <z>1</z>", "<y>0</y>\n            <z>1</z>"),
+        ],
+    )
+    def test_rejects_what_the_reader_rejects(self, old, new):
+        net = LogicNetwork("inv")
+        net.create_po(net.create_not(net.create_pi("a")), "f")
+        text = layout_to_fgl(orthogonal_layout(net).layout)
+        assert old in text
+        broken = text.replace(old, new, 1)
+        with pytest.raises(FglError):
+            fgl_to_layout(broken)
+        with pytest.raises(FglError):
+            LayoutBatch.from_texts([broken])
 
 
 class TestFromLayouts:

@@ -136,6 +136,17 @@ def test_show_command(tmp_path, capsys):
     assert "tiles" in out
 
 
+@pytest.mark.parametrize("command", ["show", "svg"])
+def test_file_commands_report_malformed_fgl(tmp_path, capsys, command):
+    path = tmp_path / "broken.fgl"
+    path.write_text("<fgl><layout>", encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"mnt-bench {command}: {path}:" in err
+    assert "well-formed" in err
+    assert main([command, str(tmp_path / "missing.fgl")]) == 2
+
+
 def test_generate_progress_printer_tty():
     import io
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.io import (
     FglError,
     fgl_to_layout,
+    fgl_to_layout_xml,
     layout_to_fgl,
     layout_to_fgl_reference,
     read_fgl,
@@ -237,3 +238,184 @@ class TestErrors:
         )
         layout = fgl_to_layout(text)
         assert check_layout(layout).ok
+
+
+def _pin_layout(layout_name: str = "lname", pin_name: str = "pin") -> GateLayout:
+    layout = GateLayout(3, 1, TWODDWAVE, name=layout_name)
+    source = layout.create_pi(Tile(0, 0), pin_name)
+    wire = layout.create_wire(Tile(1, 0), source)
+    layout.create_po(Tile(2, 0), wire, "out")
+    return layout
+
+
+def _outcome(read, text):
+    """What ``read`` makes of ``text``: its result, or ``FglError``."""
+    try:
+        return read(text)
+    except FglError:
+        return FglError
+
+
+class TestReaderTiers:
+    """``fgl_to_layout`` scans canonical text and leaves the rest to the
+    XML tier; both tiers, and the columnar decoder sharing the scanner,
+    must read every text alike."""
+
+    @pytest.mark.parametrize("field", ["layout", "gate"])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "a&#65;b",
+            "q&apos;r",
+            "a\rb",
+            " lead",
+            "trail ",
+            "x&foo;y",
+            "z]]>w",
+            "a\x01b",
+            "￾",
+            "a&amp;b&lt;c&gt;d&quot;",
+            "plain",
+        ],
+    )
+    def test_names_read_alike(self, field, name):
+        from repro.analytics import LayoutBatch
+
+        text = layout_to_fgl(_pin_layout())
+        original = "<name>lname</name>" if field == "layout" else "<name>pin</name>"
+        text = text.replace(original, f"<name>{name}</name>")
+
+        def columns(batch):
+            return batch.names, batch.gate_names, list(batch.gx), list(batch.kind)
+
+        expected = _outcome(fgl_to_layout_xml, text)
+        if expected is FglError:
+            assert _outcome(fgl_to_layout, text) is FglError
+            assert _outcome(LayoutBatch.from_texts, [text]) is FglError
+            return
+        layout = fgl_to_layout(text)
+        assert layout.name == expected.name
+        assert layout_to_fgl(layout) == layout_to_fgl(expected)
+        assert columns(LayoutBatch.from_texts([text])) == columns(
+            LayoutBatch.from_layouts([expected])
+        )
+
+    def test_canonical_text_never_reaches_the_xml_tier(self, monkeypatch):
+        import repro.io.fgl as fgl
+
+        layout = orthogonal_layout(full_adder()).layout
+        text = layout_to_fgl(layout)
+
+        def refuse(source):
+            raise AssertionError("canonical text reached the XML tier")
+
+        monkeypatch.setattr(fgl, "_parse_fgl", refuse)
+        assert layout_to_fgl(fgl_to_layout(text)) == text
+
+    def test_named_ground_wire_keeps_its_name(self):
+        from repro.networks import GateType
+
+        layout = GateLayout(3, 1, TWODDWAVE, name="w")
+        source = layout.create_pi(Tile(0, 0), "a")
+        wire = layout.create_gate(GateType.BUF, Tile(1, 0), [source], "tap")
+        layout.create_po(Tile(2, 0), wire, "f")
+        text = layout_to_fgl(layout)
+        for read in (fgl_to_layout, fgl_to_layout_xml):
+            assert read(text).get(Tile(1, 0)).name == "tap"
+            assert layout_to_fgl(read(text)) == text
+
+
+def _canonical_and_compact(text):
+    """The text itself and an equivalent non-canonical (unindented) form."""
+    compact = "".join(line.strip() for line in text.splitlines())
+    return [text, compact]
+
+
+class TestTypedErrors:
+    """Malformed content raises ``FglError`` (a ``ValueError``) from
+    either tier, never a bare error from the layout classes."""
+
+    # The PO of _pin_layout sits at (2, 0, 0).
+    PO_LOC = "<x>2</x>\n                <y>0</y>\n                <z>0</z>"
+    BROKEN = {
+        "unknown scheme": ("<name>2DDWave</name>", "<name>SPIRAL</name>"),
+        "zero width": ("<x>3</x>", "<x>0</x>"),
+        "out of bounds": (PO_LOC, PO_LOC.replace("<x>2</x>", "<x>7</x>")),
+        "duplicate tile": (PO_LOC, PO_LOC.replace("<x>2</x>", "<x>1</x>")),
+        "crossing-layer pad": (PO_LOC, PO_LOC.replace("<z>0</z>", "<z>1</z>")),
+    }
+
+    def test_fgl_error_is_a_value_error(self):
+        assert issubclass(FglError, ValueError)
+
+    @pytest.mark.parametrize("case", sorted(BROKEN))
+    def test_broken_content_raises_fgl_error(self, case):
+        old, new = self.BROKEN[case]
+        text = layout_to_fgl(_pin_layout())
+        assert old in text
+        for variant in _canonical_and_compact(text.replace(old, new, 1)):
+            for read in (fgl_to_layout, fgl_to_layout_xml):
+                with pytest.raises(FglError):
+                    read(variant)
+
+    def test_messages_name_the_element(self):
+        text = layout_to_fgl(_pin_layout())
+        with pytest.raises(FglError, match="<clocking>"):
+            fgl_to_layout(text.replace("<name>2DDWave</name>", "<name>SPIRAL</name>"))
+        with pytest.raises(FglError, match="<size>"):
+            fgl_to_layout(text.replace("<x>3</x>", "<x>0</x>", 1))
+        old, new = self.BROKEN["crossing-layer pad"]
+        with pytest.raises(FglError, match="gate 2 \\(PO\\)"):
+            fgl_to_layout(text.replace(old, new, 1))
+
+    def test_zone_clock_out_of_range(self, and_layout):
+        layout, _ = and_layout
+        open_layout = GateLayout(3, 2, OPEN, name="and2")
+        source = open_layout.create_pi(Tile(0, 0), "a")
+        open_layout.create_po(Tile(1, 0), source, "f")
+        open_layout.assign_zone(Tile(1, 0), 1)
+        text = layout_to_fgl(open_layout)
+        broken = text.replace("<clock>1</clock>", "<clock>9</clock>")
+        assert broken != text
+        for variant in _canonical_and_compact(broken):
+            for read in (fgl_to_layout, fgl_to_layout_xml):
+                with pytest.raises(FglError, match="<zone>"):
+                    read(variant)
+
+    def test_undecodable_text(self):
+        text = layout_to_fgl(_pin_layout(layout_name="a\ud800b"))
+        with pytest.raises(FglError):
+            fgl_to_layout(text)
+
+
+class TestReadFglFile:
+    def test_canonical_file_matches_text_reader(self, tmp_path):
+        layout = orthogonal_layout(full_adder()).layout
+        path = tmp_path / "fa.fgl"
+        write_fgl(layout, path)
+        text = path.read_text(encoding="utf-8")
+        assert layout_to_fgl(read_fgl(path)) == text
+
+    def test_invalid_utf8_raises_fgl_error(self, tmp_path):
+        data = layout_to_fgl(_pin_layout()).encode("utf-8")
+        path = tmp_path / "bad.fgl"
+        path.write_bytes(data.replace(b"lname", b"l\xffname"))
+        with pytest.raises(FglError):
+            read_fgl(path)
+
+    def test_declared_encoding_goes_through_the_xml_tier(self, tmp_path):
+        text = layout_to_fgl(_pin_layout(layout_name="café"))
+        declared = text.replace(
+            '<?xml version="1.0" ?>', '<?xml version="1.0" encoding="ISO-8859-1"?>'
+        )
+        path = tmp_path / "latin1.fgl"
+        path.write_bytes(declared.encode("latin-1"))
+        layout = read_fgl(path)
+        assert layout.name == "café"
+        assert layout_to_fgl(layout) == text
+
+    def test_unknown_declared_encoding_raises_fgl_error(self, tmp_path):
+        path = tmp_path / "klingon.fgl"
+        path.write_bytes(b'<?xml version="1.0" encoding="klingon"?><fgl/>')
+        with pytest.raises(FglError):
+            read_fgl(path)

@@ -6,13 +6,15 @@ over hypothesis-generated layouts — including unicode element names,
 empty layouts, and crossing-heavy circuits.
 """
 
+import re
+
 from hypothesis import given, settings, strategies as st
 
 from repro.gatelibs import apply_bestagon, apply_qca_one
-from repro.io import fgl_to_layout, layout_to_fgl
+from repro.io import fgl_to_layout, fgl_to_layout_xml, layout_to_fgl
 from repro.io.qca import cell_layout_to_qca, qca_to_cell_layout
 from repro.io.sqd import sidb_layout_to_sqd, sqd_to_sidb_layout
-from repro.layout import TWODDWAVE, GateLayout, Tile
+from repro.layout import OPEN, TWODDWAVE, GateLayout, Tile
 from repro.networks import GateType, LogicNetwork
 from repro.networks.generators import GeneratorSpec, generate_network
 from repro.networks.library import full_adder
@@ -74,6 +76,54 @@ class TestFglProperties:
         net = generate_network(GeneratorSpec("s", 5, 2, 20, seed=seed))
         layout = orthogonal_layout(net, OrthoParams(compact=False)).layout
         fgl_stable(layout)
+
+
+def non_canonical_variants(text: str) -> list[str]:
+    """The same document spelled as the writer never spells it: half
+    the indentation, and attributes on the root and on every gate."""
+    reindented = re.sub(r"(?m)^( +)", lambda m: " " * (len(m.group(1)) // 2), text)
+    attributed = text.replace("<fgl>", '<fgl generator="test">').replace(
+        "<gate>", '<gate kind="fixture">'
+    )
+    return [reindented, attributed]
+
+
+def tiers_agree(layout: GateLayout) -> None:
+    """Canonical text and its variants read to the writer's bytes
+    through ``fgl_to_layout`` (scanner first) and the XML tier alone."""
+    text = layout_to_fgl(layout)
+    for variant in [text, *non_canonical_variants(text)]:
+        assert layout_to_fgl(fgl_to_layout(variant)) == text
+        assert layout_to_fgl(fgl_to_layout_xml(variant)) == text
+
+
+class TestFglReaderTiers:
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=8, deadline=None)
+    def test_generated_layouts(self, seed):
+        net = generate_network(GeneratorSpec("t", 4, 2, 18, seed=seed))
+        layout = orthogonal_layout(net).layout
+        tiers_agree(layout)
+        tiers_agree(to_hexagonal(layout).layout)
+
+    @given(pi_name=names, po_name=names, layout_name=names)
+    @settings(max_examples=20, deadline=None)
+    def test_unicode_names(self, pi_name, po_name, layout_name):
+        layout = GateLayout(2, 1, TWODDWAVE, name=layout_name)
+        source = layout.create_pi(Tile(0, 0), pi_name)
+        layout.create_po(Tile(1, 0), source, po_name)
+        tiers_agree(layout)
+
+    @given(clocks=st.lists(st.integers(0, 3), min_size=3, max_size=3))
+    @settings(max_examples=10, deadline=None)
+    def test_open_clocking_zones(self, clocks):
+        layout = GateLayout(3, 1, OPEN, name="open")
+        for x, clock in enumerate(clocks):
+            layout.assign_zone(Tile(x, 0), clock)
+        source = layout.create_pi(Tile(0, 0), "a")
+        wire = layout.create_wire(Tile(1, 0), source)
+        layout.create_po(Tile(2, 0), wire, "f")
+        tiers_agree(layout)
 
 
 class TestQcaProperties:

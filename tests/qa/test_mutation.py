@@ -108,3 +108,34 @@ class TestInjectedRoutingBug:
         assert stored
         failure = replay_case(stored[0])
         assert failure is not None and failure.oracle == case.oracle
+
+
+class TestInjectedReaderDivergence:
+    """``fgl_roundtrip`` reads each fuzzed layout through both tiers of
+    the ``.fgl`` reader; a tier that drifts must be reported."""
+
+    def test_clean_reader_passes(self):
+        from repro.networks.library import mux21
+        from repro.physical_design import orthogonal_layout
+        from repro.qa.oracles import check_fgl_roundtrip
+
+        network = mux21()
+        assert check_fgl_roundtrip(network, orthogonal_layout(network).layout) is None
+
+    def test_xml_tier_drift_is_caught(self, monkeypatch):
+        from repro.networks.library import mux21
+        from repro.physical_design import orthogonal_layout
+        from repro.qa import oracles
+
+        original = oracles.fgl_to_layout_xml
+
+        def drifting(text):
+            layout = original(text)
+            layout.name += " (drifted)"
+            return layout
+
+        monkeypatch.setattr(oracles, "fgl_to_layout_xml", drifting)
+        network = mux21()
+        layout = orthogonal_layout(network).layout
+        message = oracles.check_fgl_roundtrip(network, layout)
+        assert message is not None and "canonical and XML tiers" in message
