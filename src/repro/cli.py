@@ -498,7 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "--profile",
         action="store_true",
-        help="run flows under cProfile and print the hottest functions per flow",
+        help="run each flow under cProfile in the worker that executes it "
+        "(combines with --jobs; bypasses the flow cache) and print the "
+        "hottest functions per flow",
     )
     gen.add_argument(
         "--profile-top",

@@ -19,12 +19,14 @@ local filesystem:
 
 Generation is organised as independent **flow tasks** — picklable
 descriptions of one (benchmark × flow) unit of work, each carrying the
-specification as Verilog text.  With ``GenerationParams.jobs > 1`` the
-tasks fan out across a :class:`concurrent.futures.ProcessPoolExecutor`;
-``jobs=1`` runs the identical task functions in-process for
-debuggability.  A **flow-result cache** keyed by (network signature,
-flow, params hash) lives inside the JSON index, so re-generating a
-database skips already-verified layouts entirely.
+specification as Verilog text.  Both generation and the optimize stage
+execute their tasks on the work-queue scheduler
+(:func:`repro.scheduler.run_generation`): with
+``GenerationParams.jobs > 1`` (or a per-task budget) they fan out across
+its kill-safe worker pool; ``jobs=1`` runs the identical task function
+in-process for debuggability.  A **flow-result cache** keyed by (network
+signature, flow, params hash) lives inside the JSON index, so
+re-generating a database skips already-verified layouts entirely.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import hashlib
 import json
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 import os
 
 from dataclasses import asdict, dataclass, field, replace
@@ -157,9 +158,10 @@ class GenerationParams:
     exact_jobs: int = 1
     #: Reuse flow results recorded in the index's flow cache.
     use_cache: bool = True
-    #: Profile every executed flow under :mod:`cProfile` and report the
-    #: hottest functions per flow.  Forces serial in-process execution
-    #: and disables the cache so every flow actually runs.
+    #: Profile every executed task under :mod:`cProfile` (inside the
+    #: worker that runs it, so it composes with ``jobs``) and report the
+    #: hottest functions per flow.  Disables the cache so every flow
+    #: actually runs.
     profile: bool = False
     #: Number of rows in each per-flow profile table.
     profile_top: int = 12
@@ -323,6 +325,16 @@ class FlowTaskResult:
     exact_stats: dict | None = None
 
 
+def _failure_counter(status: str) -> str:
+    """The :class:`GenerationReport` (and scheduler stats) counter a
+    recorded task failure status increments."""
+    return {
+        "timeout": "timeouts",
+        "memory": "memory_exceeded",
+        "cancelled": "cancelled",
+    }.get(status, "worker_errors")
+
+
 def _effective_exact_jobs(params: GenerationParams) -> int:
     """Intra-task exact workers after the anti-oversubscription clamp.
 
@@ -449,9 +461,8 @@ def _run_flow(network: LogicNetwork, flow: str, params: GenerationParams,
 def _execute_flow_task(task: FlowTask) -> FlowTaskResult:
     """Run one flow task: build, place, verify, serialise.
 
-    Module-level so it pickles for :class:`ProcessPoolExecutor`; also the
-    single code path the serial mode uses, guaranteeing both modes make
-    identical decisions.
+    The single code path of every execution mode (worker pool or
+    in-process), guaranteeing all modes make identical decisions.
     """
     started = time.monotonic()
     network = parse_verilog(task.verilog)
@@ -528,37 +539,7 @@ def _strip_result_runtimes(result: FlowTaskResult) -> FlowTaskResult:
     candidates = tuple(
         replace(candidate, runtime_seconds=0.0) for candidate in result.candidates
     )
-    return FlowTaskResult(
-        result.flow, candidates, 0.0, result.profile_stats, result.failure,
-        result.exact_stats,
-    )
-
-
-def _profile_flow_task(task: FlowTask) -> FlowTaskResult:
-    """Run one flow task under cProfile and attach its hottest functions."""
-    import cProfile
-    import io
-    import pstats
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        result = _execute_flow_task(task)
-    finally:
-        profiler.disable()
-    buffer = io.StringIO()
-    stats = pstats.Stats(profiler, stream=buffer)
-    stats.sort_stats("cumulative").print_stats(task.params.profile_top)
-    # Drop the preamble; keep only the table rows and header.
-    lines = buffer.getvalue().splitlines()
-    table_start = next(
-        (i for i, line in enumerate(lines) if line.lstrip().startswith("ncalls")), 0
-    )
-    table = "\n".join(line for line in lines[table_start:] if line.strip())
-    return FlowTaskResult(
-        result.flow, result.candidates, result.wall_seconds, table,
-        result.failure, result.exact_stats,
-    )
+    return replace(result, candidates=candidates, wall_seconds=0.0)
 
 
 @dataclass(frozen=True)
@@ -567,8 +548,8 @@ class OptimizeTask:
 
     Carries everything a worker needs — the serialised layout, the
     specification as Verilog, the metadata of the source record — so
-    optimization of independent artifacts fans out over the same
-    process pool that flow generation uses.
+    optimization of independent artifacts runs on the same scheduler
+    (worker pool, budgets, flow cache) as flow generation.
     """
 
     suite: str
@@ -637,27 +618,37 @@ def _execute_optimize_task(task: OptimizeTask) -> FlowTaskResult:
     return result
 
 
-def _execute_tasks(
-    tasks: list, jobs: int, profile: bool = False, fn=_execute_flow_task
-) -> list[FlowTaskResult]:
-    """Run tasks serially or across a process pool, order-preserving.
+def _execute_task(task) -> FlowTaskResult:
+    """Run one scheduler task — an :class:`OptimizeTask` or a
+    :class:`FlowTask` — in a worker process or in-process.
 
-    ``fn`` is the per-task worker — :func:`_execute_flow_task` for
-    generation, :func:`_execute_optimize_task` for the optimize stage —
-    and must be a picklable module-level function.
+    Both task functions are looked up through this module at call time
+    so tests (and the crash-injection driver) can wrap them.  With
+    ``params.profile`` the task runs under :mod:`cProfile` and the
+    table of its hottest functions travels back in the result.
     """
-    if profile:
-        # Profiling needs the work in-process: one profiler per flow.
-        return [_profile_flow_task(t) for t in tasks]
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    try:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, tasks))
-    except (OSError, RuntimeError):
-        # Pool creation can fail in constrained environments; the serial
-        # path computes the identical results.
-        return [fn(t) for t in tasks]
+    run = (
+        _execute_optimize_task if isinstance(task, OptimizeTask)
+        else _execute_flow_task
+    )
+    if not task.params.profile:
+        return run(task)
+    import cProfile
+    import io
+    import pstats
+
+    profiler = cProfile.Profile()
+    result = profiler.runcall(run, task)
+    buffer = io.StringIO()
+    stats = pstats.Stats(profiler, stream=buffer)
+    stats.sort_stats("cumulative").print_stats(task.params.profile_top)
+    # Drop the preamble; keep only the table rows and header.
+    lines = buffer.getvalue().splitlines()
+    table_start = next(
+        (i for i, line in enumerate(lines) if line.lstrip().startswith("ncalls")), 0
+    )
+    table = "\n".join(line for line in lines[table_start:] if line.strip())
+    return replace(result, profile_stats=table)
 
 
 class BenchmarkDatabase:
@@ -955,8 +946,8 @@ class BenchmarkDatabase:
         journal), multi-process sharding (``queue_dir``) and
         early-cancel of dominated exact tasks; per-task wall/memory
         budgets live on :class:`GenerationParams` because they affect
-        flow results.  ``profile=True`` keeps the legacy in-process
-        fan-out (one profiler per flow).
+        flow results.  ``profile=True`` profiles every task inside the
+        worker that runs it and bypasses the flow cache.
         """
         from ..scheduler.engine import SchedulerParams, run_generation
         from ..scheduler.journal import JOURNAL_NAME, GenerationJournal
@@ -966,9 +957,7 @@ class BenchmarkDatabase:
         report = GenerationReport()
         started = time.monotonic()
         journal_path = self.root / JOURNAL_NAME
-        if params.profile:
-            journal = None
-        elif sched.resume:
+        if sched.resume:
             journal = GenerationJournal.load(journal_path)
             # A crash between a pack append and its index flush leaves
             # an orphan tail; drop it so re-appends land byte-identically.
@@ -1048,20 +1037,8 @@ class BenchmarkDatabase:
                         None,
                     )
                 )
-        if params.profile:
-            results = _execute_tasks(
-                [task for _, _, task, _, _ in pending], params.jobs, params.profile
-            )
-            self._merge_results(
-                (
-                    (spec.suite, spec.name, task.flow, key, slot, result)
-                    for (spec, key, task, slot, _), result in zip(pending, results)
-                ),
-                report,
-            )
-        else:
-            run_generation(self, pending, params, sched, report, journal,
-                           bounds=bounds)
+        run_generation(self, pending, params, sched, report, journal,
+                       bounds=bounds)
         report.wall_seconds = time.monotonic() - started
         self._save_index()
         created = [record for slot in slots for record in slot]
@@ -1079,17 +1056,22 @@ class BenchmarkDatabase:
         run through incremental post-layout optimization plus wiring
         reduction, re-verified (DRC + equivalence against the stored
         specification network) and written back as a new ``…_plo``
-        artifact.  Independent artifacts fan out over the same process
-        pool flow generation uses (``params.jobs``), and per-artifact
-        results are merged into the flow cache so a re-run skips
-        already-optimized entries.
+        artifact.  The tasks run on the same scheduler as
+        :meth:`generate` (``params.jobs``, per-task wall/memory budgets,
+        recorded task errors, ``generation_stats.json``) but without a
+        journal, so the last generation journal is left alone.
+        Per-artifact results are merged into the flow cache so a re-run
+        skips already-optimized entries.
         """
+        from ..scheduler.engine import SchedulerParams, run_generation
+
         params = params or GenerationParams()
         report = GenerationReport()
         started = time.monotonic()
         networks: dict[tuple[str, str], tuple[str, tuple] | None] = {}
         slots: list[list[BenchmarkFile]] = []
-        pending: list[tuple[str, str, str, OptimizeTask, list[BenchmarkFile]]] = []
+        # (spec, key, task, slot, journaled-entry) as in generate().
+        pending: list[tuple] = []
         for record in list(self._records):
             if not self._optimizable(record):
                 continue
@@ -1132,19 +1114,8 @@ class BenchmarkDatabase:
                 optimizations=record.optimizations,
                 params=params,
             )
-            pending.append((record.suite, record.name, key, task, slot))
-        results = _execute_tasks(
-            [task for _, _, _, task, _ in pending],
-            params.jobs,
-            fn=_execute_optimize_task,
-        )
-        self._merge_results(
-            (
-                (suite, name, task.flow, key, slot, result)
-                for (suite, name, key, task, slot), result in zip(pending, results)
-            ),
-            report,
-        )
+            pending.append((None, key, task, slot, None))
+        run_generation(self, pending, params, SchedulerParams(), report, None)
         report.wall_seconds = time.monotonic() - started
         self._save_index()
         created = [record for slot in slots for record in slot]
@@ -1159,78 +1130,64 @@ class BenchmarkDatabase:
             and "PLO" not in record.optimizations
         )
 
-    #: Persist index.json/facets.json every N merged flows so an
-    #: exception (or crash) mid-merge loses at most one batch, not the
-    #: whole sweep's records.
-    _MERGE_FLUSH_EVERY = 8
+    def _merge_result(self, key: str, task, slot: list, result: FlowTaskResult,
+                      report: GenerationReport) -> str:
+        """Fold one task's result into records, report and flow cache.
 
-    def _merge_results(self, merged, report: GenerationReport) -> None:
-        """Fold worker results into records, report and flow cache.
-
-        ``merged`` yields ``(suite, name, flow, cache_key, slot,
-        result)`` tuples; shared by :meth:`generate` and
-        :meth:`optimize` so both stages make identical admission,
-        caching and bookkeeping decisions.  The index is flushed every
-        :attr:`_MERGE_FLUSH_EVERY` flows — completed work survives a
-        failure partway through the batch.
+        Called by the scheduler for :meth:`generate` and :meth:`optimize`
+        alike, so both stages make identical admission, caching and
+        bookkeeping decisions.  Returns the task's status: ``"done"``
+        or the recorded failure status (``timeout``, ``memory``,
+        ``cancelled``, ``error``).
         """
-        merged_count = 0
-        for suite, name, flow, key, slot, result in merged:
-            cached_records: list[dict] = []
-            rejections: list[dict] = []
-            for candidate in result.candidates:
-                if candidate.status == "admitted":
-                    record = self._write_layout(suite, name, candidate)
-                    cached_records.append(record.to_json())
-                    slot.append(self._remember(record))
-                    report.admitted += 1
-                elif candidate.status == "drc_failed":
+        suite, name = task.suite, task.name
+        cached_records: list[dict] = []
+        rejections: list[dict] = []
+        for candidate in result.candidates:
+            if candidate.status == "admitted":
+                record = self._write_layout(suite, name, candidate)
+                cached_records.append(record.to_json())
+                slot.append(self._remember(record))
+                report.admitted += 1
+            else:
+                if candidate.status == "drc_failed":
                     report.drc_failed += 1
-                    rejections.append(
-                        {"status": candidate.status, "reason": candidate.reason}
-                    )
                 else:
                     report.inequivalent += 1
-                    rejections.append(
-                        {"status": candidate.status, "reason": candidate.reason}
-                    )
-            if result.failure is not None:
-                # Budget kills, early-cancels and worker deaths are
-                # recorded rejections — never silently dropped.
-                status = result.failure.get("status", "error")
-                if status == "timeout":
-                    report.timeouts += 1
-                elif status == "memory":
-                    report.memory_exceeded += 1
-                elif status == "cancelled":
-                    report.cancelled += 1
-                else:
-                    report.worker_errors += 1
                 rejections.append(
-                    {"status": status, "reason": result.failure.get("reason")}
+                    {"status": candidate.status, "reason": candidate.reason}
                 )
-            elif not result.candidates:
-                report.no_layout += 1
-            report.flow_seconds[f"{suite}/{name}:{flow}"] = result.wall_seconds
-            if result.profile_stats is not None:
-                report.flow_profiles[f"{suite}/{name}:{flow}"] = result.profile_stats
-            if result.exact_stats is not None:
-                if report.exact_search is None:
-                    report.exact_search = dict(result.exact_stats)
-                else:
-                    aggregate = ExactSearchStats.from_json(report.exact_search)
-                    aggregate.merge(result.exact_stats)
-                    report.exact_search = aggregate.to_json()
-            self._flow_cache[key] = {
-                "suite": suite,
-                "name": name,
-                "flow": flow,
-                "records": cached_records,
-                "rejections": rejections,
-            }
-            merged_count += 1
-            if merged_count % self._MERGE_FLUSH_EVERY == 0:
-                self._save_index()
+        status = "done"
+        if result.failure is not None:
+            # Budget kills, early-cancels and worker deaths are
+            # recorded rejections — never silently dropped.
+            status = result.failure.get("status", "error")
+            counter = _failure_counter(status)
+            setattr(report, counter, getattr(report, counter) + 1)
+            rejections.append(
+                {"status": status, "reason": result.failure.get("reason")}
+            )
+        elif not result.candidates:
+            report.no_layout += 1
+        label = f"{suite}/{name}:{task.flow}"
+        report.flow_seconds[label] = result.wall_seconds
+        if result.profile_stats is not None:
+            report.flow_profiles[label] = result.profile_stats
+        if result.exact_stats is not None:
+            if report.exact_search is None:
+                report.exact_search = dict(result.exact_stats)
+            else:
+                aggregate = ExactSearchStats.from_json(report.exact_search)
+                aggregate.merge(result.exact_stats)
+                report.exact_search = aggregate.to_json()
+        self._flow_cache[key] = {
+            "suite": suite,
+            "name": name,
+            "flow": task.flow,
+            "records": cached_records,
+            "rejections": rejections,
+        }
+        return status
 
     def _remember(self, record: BenchmarkFile) -> BenchmarkFile:
         """Add ``record`` to the index unless an identical-path record

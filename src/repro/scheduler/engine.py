@@ -1,10 +1,14 @@
 """The generation scheduler's orchestration loop.
 
-:func:`run_generation` replaces the flat ``_execute_tasks`` fan-out for
-:meth:`BenchmarkDatabase.generate`.  Tasks are dispatched out-of-order
-but **merged strictly in task-definition order**, so the records list,
-flow-cache insertion order and pack layout are identical no matter how
-execution interleaves — that is what makes a killed-and-resumed sweep
+:func:`run_generation` is the one executor of both task types: the flow
+tasks of :meth:`BenchmarkDatabase.generate` and the optimize tasks of
+:meth:`BenchmarkDatabase.optimize` (which runs without a journal).
+Each task runs through ``bench._execute_task``, in a worker process or
+in-process, under cProfile when ``GenerationParams.profile`` is set.
+Tasks are dispatched out-of-order but **merged strictly in
+task-definition order**, so the records list, flow-cache insertion
+order and pack layout are identical no matter how execution
+interleaves — that is what makes a killed-and-resumed sweep
 byte-identical to an uninterrupted one.
 
 Per-task crash-consistency protocol (the order matters):
@@ -14,6 +18,9 @@ Per-task crash-consistency protocol (the order matters):
 3. the journal line is appended with fsync — **the commit point**,
 4. every ``flush_every`` merges, ``index.json``/``facets.json`` and the
    scheduler stats are flushed.
+
+Without a journal (``optimize``) steps 2 and 3 are skipped: the pack
+index is flushed together with the index in step 4.
 
 A crash between (2) and (3) leaves an orphan pack entry; resume calls
 ``store.repair_truncate()`` and re-runs the task, and the idempotent
@@ -241,48 +248,27 @@ class _Merger:
         self.stats.resumed += 1
 
     def _merge_result(self, key: str, task, slot, result, executed_by) -> None:
-        self.db._merge_results(
-            [(task.suite, task.name, task.flow, key, slot, result)], self.report
-        )
+        status = self.db._merge_result(key, task, slot, result, self.report)
         for candidate in result.candidates:
             if candidate.status == "admitted" and candidate.width is not None:
                 self._note_area(task.suite, task.name, candidate.library,
                                 candidate.width * candidate.height)
-        # Commit point: artifacts and the pack index must be durable
-        # *before* the journal says this task is done.
-        self.db.store.save()
         if self.journal is not None:
-            failure = result.failure
-            status = failure.get("status", "error") if failure else "done"
+            # Commit point: artifacts and the pack index must be durable
+            # *before* the journal says this task is done.
+            self.db.store.save()
             self.journal.append(
                 key=key, suite=task.suite, name=task.name, flow=task.flow,
                 status=status, entry=self.db._flow_cache.get(key),
                 seconds=result.wall_seconds, node=executed_by or self.node,
             )
-        if result.failure is not None:
-            status = result.failure.get("status", "error")
-            if status == "timeout":
-                self.stats.timeouts += 1
-            elif status == "memory":
-                self.stats.memory_exceeded += 1
-            elif status == "cancelled":
-                self.stats.cancelled += 1
-            else:
-                self.stats.worker_errors += 1
-        else:
-            self.stats.done += 1
+        counter = "done" if status == "done" else _bench._failure_counter(status)
+        setattr(self.stats, counter, getattr(self.stats, counter) + 1)
         self.stats.flow_seconds[task.flow] = (
             self.stats.flow_seconds.get(task.flow, 0.0) + result.wall_seconds
         )
-        if result.exact_stats is not None:
-            if self.stats.exact_search is None:
-                self.stats.exact_search = dict(result.exact_stats)
-            else:
-                aggregate = _bench.ExactSearchStats.from_json(
-                    self.stats.exact_search
-                )
-                aggregate.merge(result.exact_stats)
-                self.stats.exact_search = aggregate.to_json()
+        # The report is per sweep, so its merged counters are this run's.
+        self.stats.exact_search = self.report.exact_search
 
     def _note_area(self, suite: str, name: str, library: str | None,
                    area: int | None) -> None:
@@ -431,7 +417,7 @@ def _run_pool(run: _Run, live: list[int]) -> None:
     params, sched, merger, queue = run.params, run.sched, run.merger, run.queue
     pool = WorkerPool(
         max(1, params.jobs),
-        _bench._execute_flow_task,
+        _bench._execute_task,
         memory_bytes=run.budget.memory_bytes,
         max_tasks_per_worker=sched.max_tasks_per_worker,
     )
@@ -567,9 +553,7 @@ def _execute_inline(run: _Run, idx: int) -> None:
         run.queue.mark_execution(key)
     run.sched.notify(run.stats, _task_label(task))
     try:
-        # Looked up through the module so tests (and the crash-injection
-        # driver) can wrap the task function.
-        result = _bench._execute_flow_task(task)
+        result = _bench._execute_task(task)
     except Exception as exc:  # noqa: BLE001 - recorded, not dropped
         result = _failure_result(task.flow, "error",
                                  f"{type(exc).__name__}: {exc}")

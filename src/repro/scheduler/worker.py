@@ -1,10 +1,10 @@
 """Kill-safe worker pool for generation tasks.
 
-Unlike ``ProcessPoolExecutor``, every worker here has its own command
-pipe, so the parent always knows *which* task a worker is running and
-can SIGKILL exactly that worker when the task blows its wall budget or
-is cancelled as dominated — then respawn a replacement and keep the
-rest of the sweep moving.  Workers are also recycled after a bounded
+Unlike a :mod:`concurrent.futures` pool, every worker here has its own
+command pipe, so the parent always knows *which* task a worker is
+running and can SIGKILL exactly that worker when the task blows its
+wall budget or is cancelled as dominated — then respawn a replacement
+and keep the rest of the sweep moving.  Workers are also recycled after a bounded
 number of tasks (and immediately after a ``MemoryError``) so leaked
 C-extension state or a fragmented heap cannot poison later tasks.
 

@@ -217,6 +217,50 @@ def test_generate_quiet_suppresses_progress(tmp_path, capsys):
     assert "generate [" not in captured.err
 
 
+def test_generate_profile_runs_in_worker_pool(tmp_path, capsys, monkeypatch):
+    """``--profile`` composes with ``--jobs``: each executed flow is
+    profiled inside its worker, and profiling leaves the database
+    byte-identical to an unprofiled run."""
+    import functools
+    import json
+    import re
+
+    import repro.cli as cli
+    from repro.core import GenerationParams
+    from tests.scheduler.conftest import database_fingerprint
+
+    # Exact search and NanoPlaceR are wall-clock driven; gate them off
+    # so both runs are deterministic.
+    monkeypatch.setattr(cli, "GenerationParams", functools.partial(
+        GenerationParams, exact_max_elements=0, nanoplacer_max_gates=0))
+    base = [
+        "generate", "--benchmark", "trindade16/xor2", "--jobs", "2",
+        "--reproducible", "--quiet",
+    ]
+    profiled = tmp_path / "profiled"
+    assert main(base + ["--database", str(profiled),
+                        "--profile", "--profile-top", "5"]) == 0
+    out = capsys.readouterr().out
+    executed = int(re.search(r"(\d+) flows executed", out).group(1))
+    assert executed == 6
+    tables = out.split("\n--- profile ")[1:]
+    assert len(tables) == executed
+    for table in tables:
+        rows = table.split("---\n", 1)[1].splitlines()
+        assert rows[0].lstrip().startswith("ncalls")
+        stat_rows = [row for row in rows[1:]
+                     if re.match(r"\s*\d+(/\d+)?\s+\d+\.\d{3}\s", row)]
+        assert 1 <= len(stat_rows) <= 5
+    assert "[pool, node" in out
+    stats = json.loads((profiled / "generation_stats.json").read_text())
+    assert stats["mode"] == "pool"
+
+    plain = tmp_path / "plain"
+    assert main(base + ["--database", str(plain)]) == 0
+    assert "--- profile" not in capsys.readouterr().out
+    assert database_fingerprint(profiled) == database_fingerprint(plain)
+
+
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

@@ -7,6 +7,7 @@ indices byte for byte.
 """
 
 import json
+import shutil
 from dataclasses import replace
 
 import pytest
@@ -153,3 +154,44 @@ class TestOutcomeCompatibility:
         assert isinstance(outcome, list)
         assert len(outcome) == len(list(outcome))
         assert outcome[0].suite == "trindade16"
+
+
+class TestOptimize:
+    """``optimize`` runs on the generation scheduler: byte-identical
+    across worker counts and cached like generation."""
+
+    @pytest.fixture
+    def generated(self, tmp_path):
+        root = tmp_path / "generated"
+        BenchmarkDatabase(root).generate(
+            SPECS, params=replace(DETERMINISTIC, reproducible=True)
+        )
+        return root
+
+    def test_optimize_jobs_are_byte_identical(self, tmp_path, generated):
+        from tests.scheduler.conftest import database_fingerprint
+
+        fingerprints = []
+        for jobs, mode in ((1, "inline"), (2, "pool")):
+            root = tmp_path / f"jobs{jobs}"
+            shutil.copytree(generated, root)
+            outcome = BenchmarkDatabase(root).optimize(
+                params=replace(DETERMINISTIC, reproducible=True, jobs=jobs)
+            )
+            assert outcome.report.admitted == 2  # one 2DDWave ortho per spec
+            assert outcome.report.scheduler["mode"] == mode
+            assert all("PLO" in record.optimizations for record in outcome)
+            fingerprints.append(database_fingerprint(root))
+        assert fingerprints[0] == fingerprints[1]
+
+    def test_optimize_rerun_is_all_cache_hits(self, generated):
+        params = replace(DETERMINISTIC, reproducible=True)
+        first = BenchmarkDatabase(generated).optimize(params=params)
+        assert first.report.executed_flows == 2
+        index_first = (generated / "index.json").read_bytes()
+
+        second = BenchmarkDatabase(generated).optimize(params=params)
+        assert second.report.executed_flows == 0
+        assert second.report.skipped_cached == first.report.executed_flows
+        assert strip_runtimes(second) == strip_runtimes(first)
+        assert (generated / "index.json").read_bytes() == index_first

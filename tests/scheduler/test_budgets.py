@@ -212,3 +212,73 @@ def test_task_budget_dataclass():
     assert not TaskBudget(None, None).bounded
     assert TaskBudget(1.0, None).bounded
     assert TaskBudget(None, 1024).bounded
+
+
+@pytest.fixture
+def generated_db(tmp_path):
+    """A generated database with one optimizable artifact per spec."""
+    db = BenchmarkDatabase(tmp_path / "db")
+    db.generate(_specs(), params=GenerationParams(**DETERMINISTIC_PARAMS))
+    return db
+
+
+def _optimize_task_count(db) -> int:
+    return sum(1 for record in db.files() if db._optimizable(record))
+
+
+def test_optimize_wall_budget_kills_stalled_tasks(generated_db, monkeypatch):
+    """``optimize`` honours the per-task wall budget (it used to wait
+    out every stalled task)."""
+    import repro.core.bench as bench
+
+    def stalling(task):
+        time.sleep(60)
+
+    monkeypatch.setattr(bench, "_execute_optimize_task", stalling)
+    tasks = _optimize_task_count(generated_db)
+    assert tasks == 2
+    params = GenerationParams(
+        **DETERMINISTIC_PARAMS, jobs=1, task_wall_budget=0.5
+    )
+    started = time.monotonic()
+    report = generated_db.optimize(params=params).report
+    assert time.monotonic() - started < 20
+    assert report.timeouts == tasks
+    assert report.admitted == 0
+    assert report.scheduler["mode"] == "pool"
+    assert report.scheduler["workers_killed"] == tasks
+    rejections = [
+        entry["rejections"] for entry in generated_db._flow_cache.values()
+        if entry["flow"].startswith("optimize:")
+    ]
+    assert [r[0]["status"] for r in rejections] == ["timeout"] * tasks
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_optimize_task_error_is_recorded_not_fatal(generated_db, monkeypatch,
+                                                   jobs):
+    """One raising optimize task becomes a recorded worker error; the
+    other tasks are still admitted."""
+    import repro.core.bench as bench
+
+    original = bench._execute_optimize_task
+
+    def flaky(task):
+        if task.name == "mux21":
+            raise ValueError("injected optimize failure")
+        return original(task)
+
+    monkeypatch.setattr(bench, "_execute_optimize_task", flaky)
+    tasks = _optimize_task_count(generated_db)
+    params = GenerationParams(**DETERMINISTIC_PARAMS, jobs=jobs)
+    report = generated_db.optimize(params=params).report
+    assert report.worker_errors == 1
+    assert report.admitted == tasks - 1
+    assert "1 worker errors" in report.summary()
+    (entry,) = [
+        entry for entry in generated_db._flow_cache.values()
+        if entry["flow"].startswith("optimize:mux21_")
+    ]
+    (rejection,) = entry["rejections"]
+    assert rejection["status"] == "error"
+    assert "injected optimize failure" in rejection["reason"]
