@@ -14,7 +14,6 @@ dangling references so that algorithms can build layouts incrementally.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
 
 from ..networks.logic_network import GateType, LogicNetwork
@@ -28,41 +27,6 @@ from .coordinates import Tile, Topology, adjacent, neighbors
 #: is even placed.  Small layouts keep the dense lists: direct list
 #: indexing is faster than dict probing on the A*/SAT hot paths.
 DENSE_AREA_LIMIT = 1 << 20
-
-_MASK64 = (1 << 64) - 1
-
-
-def _splitmix63(value: int) -> int:
-    """Deterministic 63-bit hash word (splitmix64 finalizer, top bit cut)."""
-    value = (value + 0x9E3779B97F4A7C15) & _MASK64
-    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (value ^ (value >> 31)) >> 1
-
-
-class _LazyZobrist:
-    """On-demand Zobrist table for sparse-backed layouts.
-
-    The dense table is ``4 * width * height`` random words — far too
-    large to materialise for a sparse canvas.  This stand-in speaks the
-    same ``table[index]`` protocol but derives each word arithmetically
-    from the seed, caching only the words actually touched.  Digests are
-    in-memory routing-cache keys, never serialized, so the sparse and
-    dense tables need not produce identical words.
-    """
-
-    __slots__ = ("_seed", "_cache")
-
-    def __init__(self, seed: int) -> None:
-        self._seed = seed
-        self._cache: dict[int, int] = {}
-
-    def __getitem__(self, index: int) -> int:
-        word = self._cache.get(index)
-        if word is None:
-            word = _splitmix63((self._seed << 20) ^ index)
-            self._cache[index] = word
-        return word
 
 
 class _SparseLayer:
@@ -196,18 +160,6 @@ class GateLayout:
         #: Reusable A* search arena, owned by the router (see
         #: :mod:`repro.physical_design.routing`); invalidated on resize.
         self._route_arena = None
-        #: Monotone counter bumped on every structural mutation; caches
-        #: keyed by it (e.g. the router's step cache) self-invalidate.
-        self.mutations = 0
-        #: Zobrist-style occupancy digest: XOR of one random word per
-        #: occupied position (wire positions use a second word so states
-        #: that differ only in wire-vs-gate content hash apart).  Restored
-        #: exactly by remove/rollback — sound as a routing-cache key.
-        self.occupancy_hash = 0
-        self._zobrist: list[int] | None = None
-        #: Undo journal: ``None`` when disabled, else a list of undo
-        #: records.  See :meth:`begin_journal`.
-        self._journal: list[tuple] | None = None
         if scheme.regular:
             tables = neighbor_tables(scheme, topology)
             self._clock_tables = tables
@@ -236,8 +188,6 @@ class GateLayout:
 
     def resize(self, width: int, height: int) -> None:
         """Grow or shrink the grid; occupied tiles must stay in bounds."""
-        if self._journal is not None:
-            raise ValueError("cannot resize while a rollback journal is active")
         for tile in self._tiles:
             if tile.x >= width or tile.y >= height:
                 raise ValueError(f"cannot shrink: tile {tile} occupied")
@@ -249,10 +199,7 @@ class GateLayout:
         self._border_occupied = sum(
             1 for t in self._tiles if t.z == 0 and self._on_border(t)
         )
-        self._zobrist = None
-        self.occupancy_hash = 0
         self._route_arena = None
-        self.mutations += 1
 
     def _on_border(self, tile: Tile) -> bool:
         return (
@@ -292,11 +239,7 @@ class GateLayout:
             raise ValueError(f"{self.scheme.name} derives zones; cannot assign")
         if not 0 <= zone < self.scheme.num_phases:
             raise ValueError(f"zone {zone} out of range")
-        ground = tile.ground
-        if self._journal is not None:
-            self._journal.append(("zone", ground, self._zones.get(ground)))
-        self._zones[ground] = zone
-        self.mutations += 1
+        self._zones[tile.ground] = zone
 
     def is_incoming_clocked(self, target: Tile, source: Tile) -> bool:
         """True if the clocking admits data flow ``source`` → ``target``."""
@@ -360,38 +303,6 @@ class GateLayout:
         w, h = self.width, self.height
         border = 2 * (w + h) - 4 if w > 1 and h > 1 else w * h
         return border - self._border_occupied
-
-    def occupancy_digest(self) -> int:
-        """Zobrist digest of the occupancy state (wires hash distinctly).
-
-        Deterministic for a given grid size and occupancy; maintained
-        incrementally, and restored exactly by :meth:`remove` /
-        :meth:`rollback` — suitable as a key for routing caches.
-        """
-        if self._zobrist is None:
-            seed = 0x5EED ^ (self.width << 16) ^ self.height
-            if self.uses_sparse_grid():
-                # The dense table would be 4·w·h words; derive words on
-                # demand instead (digests are process-local cache keys).
-                self._zobrist = _LazyZobrist(seed)
-            else:
-                rng = random.Random(seed)
-                # Two words per position: base occupancy and "is a wire".
-                self._zobrist = [
-                    rng.getrandbits(63) for _ in range(4 * self.width * self.height)
-                ]
-            digest = 0
-            for tile, gate in self._tiles.items():
-                digest ^= self._zobrist_words(tile, gate)
-            self.occupancy_hash = digest
-        return self.occupancy_hash
-
-    def _zobrist_words(self, tile: Tile, gate: LayoutGate) -> int:
-        index = 2 * ((tile.z * self.height + tile.y) * self.width + tile.x)
-        word = self._zobrist[index]
-        if gate.gate_type is GateType.BUF:
-            word ^= self._zobrist[index + 1]
-        return word
 
     def __len__(self) -> int:
         """Number of occupied tiles."""
@@ -527,14 +438,6 @@ class GateLayout:
             self._ground_occupied += 1
             if x == 0 or y == 0 or x == width - 1 or y == self.height - 1:
                 self._border_occupied += 1
-        zob = self._zobrist
-        if zob is not None:
-            widx = 2 * ((z * self.height + y) * width + x)
-            word = zob[widx]
-            if gate.gate_type is GateType.BUF:
-                word ^= zob[widx + 1]
-            self.occupancy_hash ^= word
-        self.mutations += 1
         readers = self._readers
         for fanin in gate.fanins:
             bucket = readers.get(fanin)
@@ -542,8 +445,6 @@ class GateLayout:
                 readers[fanin] = [tile]
             else:
                 bucket.append(tile)
-        if self._journal is not None:
-            self._journal.append(("place", tile))
         return tile
 
     def create_pi(self, tile: Tile, name: str | None = None) -> Tile:
@@ -590,9 +491,8 @@ class GateLayout:
         first reads ``fanin``).  A segment lands on the ground layer
         unless that position is occupied, falling back to the crossing
         layer; if both layers are taken a ``ValueError`` is raised and
-        the partial run stays placed (callers running under a journal
-        roll it back).  Returns the last tile placed — ``fanin`` when
-        ``positions`` is empty.
+        the partial run stays placed.  Returns the last tile placed —
+        ``fanin`` when ``positions`` is empty.
 
         This is the run-length emission path of sparse ortho's L-path
         router: one call per straight leg instead of a per-tile loop of
@@ -622,27 +522,14 @@ class GateLayout:
             self._ground_occupied -= 1
             if x == 0 or y == 0 or x == self.width - 1 or y == self.height - 1:
                 self._border_occupied -= 1
-        zob = self._zobrist
-        if zob is not None:
-            widx = 2 * ((z * self.height + y) * self.width + x)
-            word = zob[widx]
-            if gate.gate_type is GateType.BUF:
-                word ^= zob[widx + 1]
-            self.occupancy_hash ^= word
-        self.mutations += 1
-        pi_index = po_index = None
         if gate.is_pi:
-            pi_index = self._pis.index(tile)
-            self._pis.pop(pi_index)
+            self._pis.remove(tile)
         if gate.is_po:
-            po_index = self._pos.index(tile)
-            self._pos.pop(po_index)
+            self._pos.remove(tile)
         for fanin in gate.fanins:
             readers = self._readers.get(fanin)
             if readers and tile in readers:
                 readers.remove(tile)
-        if self._journal is not None:
-            self._journal.append(("remove", tile, gate, pi_index, po_index))
         return gate
 
     def replace_fanin(self, tile: Tile, old: Tile, new: Tile) -> None:
@@ -663,13 +550,10 @@ class GateLayout:
         rewired = replace(gate, fanins=fanins)
         self._tiles[tile] = rewired
         self._grid[tile.z][tile.y * self.width + tile.x] = rewired
-        self.mutations += 1
         readers = self._readers.get(old)
         if readers and tile in readers:
             readers.remove(tile)
         self._readers.setdefault(new, []).append(tile)
-        if self._journal is not None:
-            self._journal.append(("refanin", tile, old, new, gate.fanins))
 
     def move(self, old_tile: Tile, new_tile: Tile, new_fanins=None) -> None:
         """Relocate an element, rewiring its readers to the new tile."""
@@ -691,77 +575,6 @@ class GateLayout:
         for reader in readers:
             if reader in self._tiles:
                 self.replace_fanin(reader, old_tile, new_tile)
-
-    # -- snapshot / rollback -------------------------------------------------------------
-
-    def begin_journal(self) -> None:
-        """Start recording an undo journal for O(1) snapshot/rollback.
-
-        While active, every :meth:`create_* <create_pi>`, :meth:`remove`
-        and :meth:`replace_fanin` appends an undo record (``move`` is
-        journaled through its constituent operations).  Backtracking
-        searches take a :meth:`snapshot` before a tentative mutation
-        burst and :meth:`rollback` to it on failure — the layout state
-        (tiles, readers, PI/PO order, zones, occupancy digest) is
-        restored exactly, without dict copies or heuristic unrouting.
-        """
-        if self._journal is None:
-            self._journal = []
-
-    def end_journal(self) -> None:
-        """Stop recording and drop all undo records."""
-        self._journal = None
-
-    def snapshot(self) -> int:
-        """O(1) marker of the current journal position."""
-        if self._journal is None:
-            raise ValueError("no active journal; call begin_journal() first")
-        return len(self._journal)
-
-    def rollback(self, mark: int) -> None:
-        """Undo every mutation recorded since ``mark`` (LIFO)."""
-        journal = self._journal
-        if journal is None:
-            raise ValueError("no active journal; call begin_journal() first")
-        if mark > len(journal):
-            raise ValueError(f"snapshot {mark} is ahead of the journal")
-        # Undo operations must not journal themselves.
-        self._journal = None
-        try:
-            while len(journal) > mark:
-                record = journal.pop()
-                op = record[0]
-                if op == "place":
-                    self.remove(record[1])
-                elif op == "remove":
-                    _, tile, gate, pi_index, po_index = record
-                    self._place(tile, gate)
-                    if pi_index is not None:
-                        self._pis.insert(pi_index, tile)
-                    if po_index is not None:
-                        self._pos.insert(po_index, tile)
-                elif op == "refanin":
-                    _, tile, old, new, old_fanins = record
-                    gate = self._tiles[tile]
-                    restored = replace(gate, fanins=old_fanins)
-                    self._tiles[tile] = restored
-                    self._grid[tile.z][tile.y * self.width + tile.x] = restored
-                    self.mutations += 1
-                    readers = self._readers.get(new)
-                    if readers and tile in readers:
-                        readers.remove(tile)
-                    self._readers.setdefault(old, []).append(tile)
-                elif op == "zone":
-                    _, tile, old_zone = record
-                    if old_zone is None:
-                        self._zones.pop(tile, None)
-                    else:
-                        self._zones[tile] = old_zone
-                    self.mutations += 1
-                else:  # pragma: no cover - defensive
-                    raise AssertionError(f"unknown journal record {op!r}")
-        finally:
-            self._journal = journal
 
     # -- connectivity -------------------------------------------------------------------
 

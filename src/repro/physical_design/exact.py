@@ -27,29 +27,33 @@ costs at most a tile or two of area on the benchmark set while keeping
 pure-Python runtimes tractable.
 
 With ``ExactParams.optimized`` (the default) the search runs on the fast
-physical-design core: the arena-based A* engine, journal-based O(1)
-snapshot/rollback instead of remove-and-unroute backtracking, O(1)
-free-tile and border-I/O lower-bound pruning, dead-signal subtree
-pruning, reachability floods memoized by the layout's occupancy digest,
-chain-window pruning on monotone schemes (2DDWave/ROW) and
+physical-design core.  It places, routes and backtracks on a flat
+search-local state (:class:`_SearchState`) with O(1) snapshot/rollback
+instead of a :class:`GateLayout` with remove-and-unroute, calls the
+arena A* kernel directly, and builds the returned ``GateLayout`` once,
+by replaying the surviving placements, when a ratio succeeds.  On top
+come O(1) free-tile and border-I/O lower-bound pruning, dead-signal
+subtree pruning, reachability floods memoized by the state's occupancy
+hash, chain-window pruning on monotone schemes (2DDWave/ROW) and
 first-placement transpose symmetry breaking on square 2DDWave grids.
 ``optimized=False`` reproduces the original (pre-optimization) search
-behaviour and serves as the benchmark baseline.
+behaviour on a ``GateLayout`` and serves as the benchmark baseline.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+import random
 import time
 from dataclasses import dataclass, field, fields
 
 from ..layout.clocking import ROW, TWODDWAVE, ClockingScheme, neighbor_tables
 from ..layout.coordinates import Tile, Topology
-from ..layout.gate_layout import GateLayout
+from ..layout.gate_layout import GateLayout, LayoutGate
 from ..networks.logic_network import GateType, LogicNetwork
 from ..networks.transforms import decompose_to_aoig, prepare_for_layout
-from .routing import RoutingOptions, _arena_for, find_path, unroute
+from .routing import RoutingOptions, _arena_for, _find_path_fast, find_path, unroute
 
 
 @dataclass
@@ -82,10 +86,10 @@ class ExactParams:
     #: schemes (USE/RES/ESR) tractable at the cost of exactness, which
     #: DESIGN.md documents as part of the SMT-solver substitution.
     candidate_cap: int | None = 16
-    #: Run on the fast physical-design core (arena A*, journal rollback,
-    #: memoized reachability, lower-bound/dead-signal/chain-window
-    #: pruning, symmetry breaking).  Turn off to reproduce the original
-    #: search as a benchmark baseline.
+    #: Run on the fast physical-design core (flat search state with O(1)
+    #: rollback, arena A*, memoized reachability, lower-bound/dead-signal/
+    #: chain-window pruning, symmetry breaking).  Turn off to reproduce
+    #: the original search on a ``GateLayout`` as a benchmark baseline.
     optimized: bool = True
     routing: RoutingOptions = field(default_factory=lambda: RoutingOptions(crossing_penalty=1))
     #: Search engine: ``"sequential"`` runs the retained single-process
@@ -418,12 +422,10 @@ def _sequential_exact_layout(network: LogicNetwork, params: ExactParams) -> Exac
         ratio_deadline = deadline
         if params.ratio_timeout is not None:
             ratio_deadline = min(deadline, time.monotonic() + params.ratio_timeout)
-        layout = GateLayout(width, height, params.scheme, params.topology, ntk.name)
-        searcher = _Searcher(ntk, elements, layout, params, ratio_deadline)
+        searcher = _Searcher(ntk, elements, width, height, params, ratio_deadline)
         try:
-            if searcher.search(0):
-                layout.end_journal()
-                layout.shrink_to_fit()
+            layout = searcher.run()
+            if layout is not None:
                 stats.incumbent_updates = 1
                 return ExactResult(
                     layout, time.monotonic() - started, False,
@@ -501,6 +503,122 @@ def _search_order(ntk: LogicNetwork):
     return order
 
 
+#: Occupancy markers of :class:`_SearchState`.  The router and the
+#: pruning scans only ask whether a position is taken and whether it
+#: holds a wire, so two shared gates stand in for every element.
+_WIRE = LayoutGate(GateType.BUF)
+_ELEMENT = LayoutGate(GateType.PI)
+
+
+class _SearchState:
+    """Occupancy of one aspect ratio during the optimized search.
+
+    Stands in for :class:`GateLayout`: it has the attributes the arena
+    A* kernel and the pruning scans read (``width``, ``height``,
+    ``scheme``, ``topology``, ``_grid``, ``_route_arena``) and the same
+    ``create_*`` calls, but a placement only marks the flat occupancy
+    lists, updates the free-tile counters and the Zobrist
+    ``occupancy_hash``, and appends ``(layer, index, word, op)`` to an
+    undo log.  :meth:`snapshot` is the log length and :meth:`rollback`
+    pops back to it.  Once the search succeeds, :meth:`materialize`
+    replays the surviving ops through the validating ``GateLayout``
+    constructors, so the returned layout is built, and checked, once.
+    """
+
+    __slots__ = (
+        "width", "height", "scheme", "topology", "_grid", "_route_arena",
+        "_border", "_free_ground", "_free_border", "_zobrist",
+        "occupancy_hash", "_log",
+    )
+
+    def __init__(
+        self, width: int, height: int, scheme: ClockingScheme, topology: Topology
+    ) -> None:
+        n = width * height
+        self.width = width
+        self.height = height
+        self.scheme = scheme
+        self.topology = topology
+        self._grid = [[None] * n, [None] * n]
+        self._route_arena = None
+        self._border = [
+            x in (0, width - 1) or y in (0, height - 1)
+            for y in range(height)
+            for x in range(width)
+        ]
+        self._free_ground = n
+        self._free_border = sum(self._border)
+        # Two words per position: base occupancy and "is a wire", so
+        # states that differ only in wire-vs-element content hash apart.
+        rng = random.Random(0x5EED ^ (width << 16) ^ height)
+        self._zobrist = [rng.getrandbits(63) for _ in range(4 * n)]
+        self.occupancy_hash = 0
+        self._log: list[tuple] = []
+
+    def num_free_ground(self) -> int:
+        return self._free_ground
+
+    def num_free_border(self) -> int:
+        return self._free_border
+
+    def _place(self, tile: Tile, marker: LayoutGate, op: tuple) -> None:
+        x, y, z = tile
+        index = y * self.width + x
+        self._grid[z][index] = marker
+        widx = 2 * (z * len(self._border) + index)
+        word = self._zobrist[widx]
+        if marker is _WIRE:
+            word ^= self._zobrist[widx + 1]
+        self.occupancy_hash ^= word
+        if not z:
+            self._free_ground -= 1
+            if self._border[index]:
+                self._free_border -= 1
+        self._log.append((z, index, word, op))
+
+    def create_pi(self, tile: Tile, name: str | None = None) -> None:
+        self._place(tile, _ELEMENT, (GateLayout.create_pi, tile, name))
+
+    def create_po(self, tile: Tile, fanin: Tile, name: str | None = None) -> None:
+        self._place(tile, _ELEMENT, (GateLayout.create_po, tile, fanin, name))
+
+    def create_gate(
+        self, gate_type: GateType, tile: Tile, fanins, name: str | None = None
+    ) -> None:
+        op = (GateLayout.create_gate, gate_type, tile, fanins, name)
+        self._place(tile, _ELEMENT, op)
+
+    def create_wire(self, tile: Tile, fanin: Tile) -> None:
+        self._place(tile, _WIRE, (GateLayout.create_wire, tile, fanin))
+
+    def snapshot(self) -> int:
+        """O(1) marker of the current log position."""
+        return len(self._log)
+
+    def rollback(self, mark: int) -> None:
+        """Undo every placement logged since ``mark`` (LIFO)."""
+        log = self._log
+        if mark > len(log):
+            raise ValueError(f"snapshot {mark} is ahead of the undo log")
+        grid, border = self._grid, self._border
+        while len(log) > mark:
+            z, index, word, _ = log.pop()
+            grid[z][index] = None
+            self.occupancy_hash ^= word
+            if not z:
+                self._free_ground += 1
+                if border[index]:
+                    self._free_border += 1
+
+    def materialize(self, name: str = "") -> GateLayout:
+        """Replay the logged placements onto a new, cropped layout."""
+        layout = GateLayout(self.width, self.height, self.scheme, self.topology, name)
+        for *_, op in self._log:
+            op[0](layout, *op[1:])
+        layout.shrink_to_fit()
+        return layout
+
+
 class _Searcher:
     """Depth-first placement with backtracking for one aspect ratio."""
 
@@ -508,7 +626,8 @@ class _Searcher:
         self,
         ntk,
         elements,
-        layout: GateLayout,
+        width: int,
+        height: int,
         params: ExactParams,
         deadline: float,
         *,
@@ -518,6 +637,11 @@ class _Searcher:
     ):
         self.ntk = ntk
         self.elements = elements
+        self.optimized = params.optimized and params.scheme.regular
+        if self.optimized:
+            layout = _SearchState(width, height, params.scheme, params.topology)
+        else:
+            layout = GateLayout(width, height, params.scheme, params.topology, ntk.name)
         self.layout = layout
         self.params = params
         self.deadline = deadline
@@ -529,7 +653,6 @@ class _Searcher:
         self._ratio_index = ratio_index
         self._parent_pid = parent_pid
         self.position: dict[int, Tile] = {}
-        self.optimized = params.optimized and layout.scheme.regular
         self.routing = RoutingOptions(
             allow_crossings=params.routing.allow_crossings,
             crossing_penalty=params.routing.crossing_penalty,
@@ -539,7 +662,10 @@ class _Searcher:
         )
         self._tick = 0
         # Candidate tile orders are placement-independent; compute once
-        # per ratio instead of re-sorting inside every search node.
+        # per ratio instead of re-sorting inside every search node.  Gate
+        # and PO orders depend only on the fanin/driver tiles (each sort
+        # key is total), so they are cached by those tiles and filtered
+        # for free tiles per node.
         self._all_list = [
             Tile(x, y) for y in range(layout.height) for x in range(layout.width)
         ]
@@ -556,9 +682,9 @@ class _Searcher:
         else:
             pi_tiles.sort(key=lambda t: (t.x + t.y, t.y, t.x))
         self._pi_sorted = pi_tiles
+        self._gate_orders: dict = {}
+        self._po_orders: dict = {}
         if self.optimized:
-            self.layout.begin_journal()
-            self.layout.occupancy_digest()  # materialise the Zobrist table
             self._reach_memo: dict = {}
             # Dead-signal tracking: placed elements that still owe a
             # connection to an unplaced reader.  If such a signal has no
@@ -609,6 +735,15 @@ class _Searcher:
         else:
             self._break_transpose = False
             self._monotone = None
+
+    def run(self) -> GateLayout | None:
+        """Search this aspect ratio; the cropped layout, or ``None``."""
+        if not self.search(0):
+            return None
+        if self.optimized:
+            return self.layout.materialize(self.ntk.name)
+        self.layout.shrink_to_fit()
+        return self.layout
 
     # -- helpers -----------------------------------------------------------
 
@@ -748,25 +883,33 @@ class _Searcher:
 
     def _gate_candidates(self, fanins: list[Tile]):
         """Free tiles ordered by distance from the fanins' frontier."""
-        tiles = self._free(self._all_list)
-        if self.layout.scheme is TWODDWAVE:
-            # On a monotone scheme the gate must dominate all its fanins,
-            # because every wire step strictly increases x + y.
-            min_x = max(f.x for f in fanins)
-            min_y = max(f.y for f in fanins)
-            tiles = [t for t in tiles if t.x >= min_x and t.y >= min_y]
-        elif self.layout.scheme is ROW:
-            # ROW clocking only admits downward flow (same-row neighbours
-            # share a zone), so gates must sit strictly below their fanins.
-            min_y = max(f.y for f in fanins)
-            tiles = [t for t in tiles if t.y > min_y]
-        anchor_x = sum(f.x for f in fanins) / len(fanins)
-        anchor_y = sum(f.y for f in fanins) / len(fanins)
-        decorated = sorted(
-            (abs(t[0] - anchor_x) + abs(t[1] - anchor_y), t[0] + t[1], t[0], t)
-            for t in tiles
-        )
-        return self._capped([d[3] for d in decorated])
+        key = tuple(fanins)
+        order = self._gate_orders.get(key)
+        if order is None:
+            tiles = self._all_list
+            if self.layout.scheme is TWODDWAVE:
+                # On a monotone scheme the gate must dominate all its
+                # fanins, because every wire step strictly increases x + y.
+                min_x = max(f.x for f in fanins)
+                min_y = max(f.y for f in fanins)
+                tiles = [t for t in tiles if t.x >= min_x and t.y >= min_y]
+            elif self.layout.scheme is ROW:
+                # ROW clocking only admits downward flow (same-row
+                # neighbours share a zone), so gates must sit strictly
+                # below their fanins.
+                min_y = max(f.y for f in fanins)
+                tiles = [t for t in tiles if t.y > min_y]
+            anchor_x = sum(f.x for f in fanins) / len(fanins)
+            anchor_y = sum(f.y for f in fanins) / len(fanins)
+            decorated = sorted(
+                (abs(t[0] - anchor_x) + abs(t[1] - anchor_y), t[0] + t[1], t[0], t)
+                for t in tiles
+            )
+            order = [d[3] for d in decorated]
+            if len(self._gate_orders) >= 4096:
+                self._gate_orders.clear()
+            self._gate_orders[key] = order
+        return self._capped(self._free(order))
 
     def _place_gate(self, depth: int, uid: int, node) -> bool:
         fanins = [self.position[f] for f in node.fanins]
@@ -780,11 +923,10 @@ class _Searcher:
             # Reachability flood: a candidate is viable only if every
             # fanin can reach it at all (over-approximation of the
             # constrained A*), which kills hopeless A* calls wholesale.
-            reaches = [self._reachable(f) for f in fanins]
             w = layout.width
-            candidates = [
-                t for t in candidates if all(t.y * w + t.x in r for r in reaches)
-            ]
+            for fanin in fanins:
+                reach = self._reachable(fanin)
+                candidates = [t for t in candidates if t.y * w + t.x in reach]
         for tile in candidates:
             self._check_time()
             mark = layout.snapshot() if self.optimized else None
@@ -812,12 +954,15 @@ class _Searcher:
     def _place_po(self, depth: int, payload) -> bool:
         index, signal, name = payload
         driver = self.position[signal]
-        candidates = self._free(
-            self._border_list if self.params.border_io else self._all_list
-        )
-        candidates.sort(key=lambda t: (abs(t.x - driver.x) + abs(t.y - driver.y), t.x, t.y))
+        order = self._po_orders.get(driver)
+        if order is None:
+            order = sorted(
+                self._border_list if self.params.border_io else self._all_list,
+                key=lambda t: (abs(t.x - driver.x) + abs(t.y - driver.y), t.x, t.y),
+            )
+            self._po_orders[driver] = order
         layout = self.layout
-        capped = self._capped(candidates)
+        capped = self._capped(self._free(order))
         if self._monotone:
             capped = self._window(
                 capped, self._from_pi.get(signal, 0) + 1, self._span
@@ -862,8 +1007,6 @@ class _Searcher:
         a strict over-approximation of what the in-search A* can do, so
         filtering candidates through it never prunes a routable one.
         """
-        # The Zobrist table was materialised in __init__, so the layout
-        # maintains ``occupancy_hash`` incrementally — no digest call.
         key = (source.ground, self.layout.occupancy_hash)
         memo = self._reach_memo
         cached = memo.get(key)
@@ -913,7 +1056,10 @@ class _Searcher:
                     avoid=taken,
                     engine=options.engine,
                 )
-            path = find_path(self.layout, fanin, target, options)
+            if self.optimized:
+                path = _find_path_fast(self.layout, fanin, target, options)
+            else:
+                path = find_path(self.layout, fanin, target, options)
             if path is None or (
                 len(path) >= 2 and refs and path[-2].ground in {r.ground for r in refs}
             ):

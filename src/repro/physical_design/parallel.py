@@ -48,7 +48,6 @@ from collections import deque
 from multiprocessing.connection import wait as _wait_connections
 
 from ..io.fgl import fgl_to_layout, layout_to_fgl
-from ..layout.gate_layout import GateLayout
 from ..networks.logic_network import LogicNetwork
 from .exact import (
     ExactParams,
@@ -96,13 +95,12 @@ def _subtask_worker(conn, worker_id, ntk, elements, ratios, params, incumbent,
         ratio_deadline = deadline
         if params.ratio_timeout is not None:
             ratio_deadline = min(deadline, time.monotonic() + params.ratio_timeout)
-        layout = GateLayout(width, height, params.scheme, params.topology, ntk.name)
         searcher = _Searcher(
-            ntk, elements, layout, params, ratio_deadline,
+            ntk, elements, width, height, params, ratio_deadline,
             incumbent=incumbent, ratio_index=index, parent_pid=parent_pid,
         )
         try:
-            found = searcher.search(0)
+            layout = searcher.run()
         except _Dominated:
             _report(conn, (index, "dominated", None))
             continue
@@ -118,14 +116,12 @@ def _subtask_worker(conn, worker_id, ntk, elements, ratios, params, incumbent,
         except BaseException as exc:  # noqa: BLE001 - must reach the parent
             _report(conn, (index, "error", f"{type(exc).__name__}: {exc}"))
             continue
-        if found:
+        if layout is not None:
             # Publish the improvement *before* reporting so every other
             # worker starts pruning against it immediately.
             with incumbent.get_lock():
                 if index < incumbent.value:
                     incumbent.value = index
-            layout.end_journal()
-            layout.shrink_to_fit()
             _report(conn, (index, "feasible", layout_to_fgl(layout)))
         else:
             _report(conn, (index, "infeasible", None))

@@ -1,165 +1,100 @@
-"""Tests for the layout's undo journal (O(1) snapshot/rollback).
+"""Tests for the exact search's undo log (O(1) snapshot/rollback).
 
-The optimized exact search backtracks through the journal instead of
-remove-and-unroute; these tests pin down that a rollback restores the
-complete observable state — tiles, grids, counters, reader lists,
-PI/PO order, clock zones and the occupancy digest — bit for bit.
+The optimized exact search places, routes and backtracks on a
+search-local :class:`~repro.physical_design.exact._SearchState` instead
+of a :class:`GateLayout`.  These tests pin down that a rollback restores
+its complete observable state — both occupancy layers, the free-tile
+counters, the occupancy hash and the surviving ops — bit for bit.
 """
 
 import pytest
 
-from repro.layout import GateLayout, OPEN, TWODDWAVE, Tile
+from repro.layout import TWODDWAVE, Tile, Topology
 from repro.networks import GateType
+from repro.physical_design.exact import _SearchState
 
 
-def _state(layout: GateLayout):
+def _state(state: _SearchState):
     return (
-        dict(layout._tiles),
-        layout.pis(),
-        layout.pos(),
-        {k: list(v) for k, v in layout._readers.items() if v},
-        layout.occupancy_digest(),
-        layout.num_free_ground(),
-        layout.num_free_border(),
-        len(layout),
+        [list(layer) for layer in state._grid],
+        state.occupancy_hash,
+        state.num_free_ground(),
+        state.num_free_border(),
+        [entry[3] for entry in state._log],
     )
 
 
-def small_layout():
-    layout = GateLayout(5, 5, TWODDWAVE)
-    layout.begin_journal()
-    return layout
+def small_state():
+    return _SearchState(5, 5, TWODDWAVE, Topology.CARTESIAN)
 
 
 class TestSnapshotRollback:
     def test_rollback_undoes_placements(self):
-        layout = small_layout()
-        a = layout.create_pi(Tile(0, 0), "a")
-        before = _state(layout)
-        mark = layout.snapshot()
-        b = layout.create_pi(Tile(0, 1), "b")
-        w = layout.create_wire(Tile(1, 0), a)
-        layout.create_gate(GateType.AND, Tile(1, 1), [w, b], "g")
-        layout.rollback(mark)
-        assert _state(layout) == before
-
-    def test_rollback_undoes_removals(self):
-        layout = small_layout()
-        a = layout.create_pi(Tile(0, 0), "a")
-        b = layout.create_pi(Tile(1, 0), "b")
-        layout.create_po(Tile(2, 0), b, "f")
-        before = _state(layout)
-        mark = layout.snapshot()
-        layout.remove(Tile(2, 0))
-        layout.remove(b)
-        layout.rollback(mark)
-        assert _state(layout) == before
-        # PI order must survive the round-trip exactly.
-        assert layout.pis() == [a, b]
-
-    def test_rollback_undoes_replace_fanin(self):
-        layout = small_layout()
-        a = layout.create_pi(Tile(0, 0), "a")
-        b = layout.create_pi(Tile(0, 1), "b")
-        gate = layout.create_gate(GateType.AND, Tile(1, 1), [a, b], "g")
-        before = _state(layout)
-        mark = layout.snapshot()
-        w = layout.create_wire(Tile(1, 0), a)
-        layout.replace_fanin(gate, a, w)
-        layout.rollback(mark)
-        assert _state(layout) == before
-
-    def test_rollback_with_duplicate_fanins(self):
-        # (a, a) → replace one a → rollback must restore (a, a), not
-        # collapse to the other operand.
-        layout = small_layout()
-        a = layout.create_pi(Tile(0, 0), "a")
-        gate = layout.create_gate(GateType.AND, Tile(1, 0), [a, a], "g")
-        before = _state(layout)
-        mark = layout.snapshot()
-        w = layout.create_wire(Tile(0, 1), a)
-        layout.replace_fanin(gate, a, w)
-        layout.rollback(mark)
-        assert _state(layout) == before
-        assert layout.get(gate).fanins == (a, a)
+        state = small_state()
+        a = Tile(0, 0)
+        state.create_pi(a, "a")
+        before = _state(state)
+        mark = state.snapshot()
+        b, w = Tile(0, 1), Tile(1, 0)
+        state.create_pi(b, "b")
+        state.create_wire(w, a)
+        state.create_gate(GateType.AND, Tile(1, 1), [w, b], "g")
+        state.rollback(mark)
+        assert _state(state) == before
 
     def test_nested_snapshots_unwind_lifo(self):
-        layout = small_layout()
-        layout.create_pi(Tile(0, 0), "a")
-        outer_state = _state(layout)
-        outer = layout.snapshot()
-        layout.create_pi(Tile(0, 1), "b")
-        inner_state = _state(layout)
-        inner = layout.snapshot()
-        layout.create_pi(Tile(0, 2), "c")
-        layout.rollback(inner)
-        assert _state(layout) == inner_state
-        layout.rollback(outer)
-        assert _state(layout) == outer_state
+        state = small_state()
+        state.create_pi(Tile(0, 0), "a")
+        outer_state = _state(state)
+        outer = state.snapshot()
+        state.create_pi(Tile(0, 1), "b")
+        inner_state = _state(state)
+        inner = state.snapshot()
+        state.create_pi(Tile(0, 2), "c")
+        state.rollback(inner)
+        assert _state(state) == inner_state
+        state.rollback(outer)
+        assert _state(state) == outer_state
 
     def test_rollback_restores_crossings(self):
-        layout = small_layout()
-        a = layout.create_pi(Tile(0, 1), "a")
-        w = layout.create_wire(Tile(1, 1), a)
-        before = _state(layout)
-        mark = layout.snapshot()
-        crossing = layout.create_wire(Tile(1, 1, 1), w)
-        assert layout.get(crossing) is not None
-        layout.rollback(mark)
-        assert _state(layout) == before
-        assert layout.get(Tile(1, 1, 1)) is None
-
-    def test_rollback_restores_open_zones(self):
-        layout = GateLayout(4, 4, OPEN)
-        layout.begin_journal()
-        layout.assign_zone(Tile(0, 0), 2)
-        before_zone = layout.zone(Tile(1, 0))
-        mark = layout.snapshot()
-        layout.assign_zone(Tile(1, 0), 3)
-        layout.rollback(mark)
-        assert layout.zone(Tile(1, 0)) == before_zone
-        assert layout.zone(Tile(0, 0)) == 2
+        state = small_state()
+        a, w = Tile(0, 1), Tile(1, 1)
+        state.create_pi(a, "a")
+        state.create_wire(w, a)
+        before = _state(state)
+        mark = state.snapshot()
+        state.create_wire(Tile(1, 1, 1), w)
+        assert state._grid[1][1 * 5 + 1] is not None
+        assert state.num_free_ground() == before[2]  # crossings are not ground
+        state.rollback(mark)
+        assert _state(state) == before
+        assert state._grid[1][1 * 5 + 1] is None
 
 
 class TestJournalGuards:
-    def test_snapshot_requires_journal(self):
-        layout = GateLayout(3, 3, TWODDWAVE)
-        with pytest.raises(ValueError):
-            layout.snapshot()
-        with pytest.raises(ValueError):
-            layout.rollback(0)
-
     def test_stale_mark_rejected(self):
-        layout = small_layout()
-        mark = layout.snapshot()
+        state = small_state()
+        mark = state.snapshot()
         with pytest.raises(ValueError):
-            layout.rollback(mark + 1)
-
-    def test_resize_rejected_while_journaling(self):
-        layout = small_layout()
-        with pytest.raises(ValueError):
-            layout.resize(7, 7)
-
-    def test_end_journal_drops_records(self):
-        layout = small_layout()
-        layout.create_pi(Tile(0, 0), "a")
-        layout.end_journal()
-        with pytest.raises(ValueError):
-            layout.snapshot()
+            state.rollback(mark + 1)
 
     def test_digest_stable_under_rollback(self):
-        layout = small_layout()
-        a = layout.create_pi(Tile(0, 0), "a")
-        digest = layout.occupancy_digest()
-        mark = layout.snapshot()
-        w = layout.create_wire(Tile(1, 0), a)
-        assert layout.occupancy_digest() != digest
-        layout.rollback(mark)
-        assert layout.occupancy_digest() == digest
-        # Re-doing the identical mutation reproduces the identical digest.
-        layout.create_wire(Tile(1, 0), a)
-        redo = layout.occupancy_digest()
-        layout.remove(Tile(1, 0))
-        assert layout.occupancy_digest() == digest
-        layout.create_wire(Tile(1, 0), a)
-        assert layout.occupancy_digest() == redo
+        state = small_state()
+        a, w = Tile(0, 0), Tile(1, 0)
+        state.create_pi(a, "a")
+        digest = state.occupancy_hash
+        mark = state.snapshot()
+        state.create_wire(w, a)
+        assert state.occupancy_hash != digest
+        state.rollback(mark)
+        assert state.occupancy_hash == digest
+        # Re-doing the identical placement reproduces the identical hash,
+        # and a wire hashes apart from a non-wire element on that tile.
+        state.create_wire(w, a)
+        redo = state.occupancy_hash
+        state.rollback(mark)
+        state.create_pi(w, "b")
+        assert state.occupancy_hash not in (digest, redo)
+        state.rollback(mark)
+        state.create_wire(w, a)
+        assert state.occupancy_hash == redo

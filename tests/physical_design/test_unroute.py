@@ -19,7 +19,6 @@ def _state(layout: GateLayout):
         layout.pis(),
         layout.pos(),
         {k: list(v) for k, v in layout._readers.items() if v},
-        layout.occupancy_digest(),
         layout.num_free_ground(),
         layout.num_free_border(),
     )
