@@ -6,17 +6,21 @@ physical design literature cares about structure because it predicts
 layout cost: reconvergence forces crossings, high-fanout nets force
 fanout trees, and deep cones stretch the 2DDWave diagonal.  This module
 computes those statistics on :class:`LogicNetwork` instances, using
-``networkx`` for the graph-theoretic parts.
+``networkx`` for the graph-theoretic parts.  ``networkx`` is imported
+only by the functions that use it, so importing the package (and
+starting the CLI) does not pay for it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from .logic_network import GateType, LogicNetwork
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,8 @@ def to_networkx(network: LogicNetwork) -> nx.DiGraph:
     node carries ``gate_type`` and ``name`` attributes; edges point from
     fanin to reader.
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     for uid in network.topological_order():
         if network.is_constant(uid):
@@ -149,6 +155,8 @@ def reconvergent_gates(network: LogicNetwork) -> set[int]:
 
 def profile(network: LogicNetwork) -> NetworkProfile:
     """Compute the full structural profile."""
+    import networkx as nx
+
     graph = to_networkx(network)
     histogram = fanout_histogram(network)
     cone_sizes = []

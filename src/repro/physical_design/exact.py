@@ -29,9 +29,13 @@ pure-Python runtimes tractable.
 With ``ExactParams.optimized`` (the default) the search runs on the fast
 physical-design core.  It places, routes and backtracks on a flat
 search-local state (:class:`_SearchState`) with O(1) snapshot/rollback
-instead of a :class:`GateLayout` with remove-and-unroute, calls the
-arena A* kernel directly, and builds the returned ``GateLayout`` once,
-by replaying the surviving placements, when a ratio succeeds.  On top
+instead of a :class:`GateLayout` with remove-and-unroute.  Positions,
+wires and fanin refs are flat ``z * width * height + y * width + x``
+indices throughout: routes come straight from the index-level A* kernel
+(:func:`~repro.physical_design.routing._astar`), the undo log records
+indices, and the reachability memo is keyed by ground index.  ``Tile``
+objects are built only when a ratio succeeds, by replaying the
+surviving log into the returned ``GateLayout``.  On top
 come O(1) free-tile and border-I/O lower-bound pruning, dead-signal
 subtree pruning, reachability floods memoized by the state's occupancy
 hash, chain-window pruning on monotone schemes (2DDWave/ROW) and
@@ -53,7 +57,13 @@ from ..layout.coordinates import Tile, Topology
 from ..layout.gate_layout import GateLayout, LayoutGate
 from ..networks.logic_network import GateType, LogicNetwork
 from ..networks.transforms import decompose_to_aoig, prepare_for_layout
-from .routing import RoutingOptions, _arena_for, _find_path_fast, find_path, unroute
+from .routing import (
+    RoutingOptions,
+    _arena_for,
+    _astar,
+    find_path,
+    unroute,
+)
 
 
 @dataclass
@@ -513,16 +523,20 @@ _ELEMENT = LayoutGate(GateType.PI)
 class _SearchState:
     """Occupancy of one aspect ratio during the optimized search.
 
-    Stands in for :class:`GateLayout`: it has the attributes the arena
-    A* kernel and the pruning scans read (``width``, ``height``,
-    ``scheme``, ``topology``, ``_grid``, ``_route_arena``) and the same
-    ``create_*`` calls, but a placement only marks the flat occupancy
-    lists, updates the free-tile counters and the Zobrist
-    ``occupancy_hash``, and appends ``(layer, index, word, op)`` to an
-    undo log.  :meth:`snapshot` is the log length and :meth:`rollback`
-    pops back to it.  Once the search succeeds, :meth:`materialize`
-    replays the surviving ops through the validating ``GateLayout``
-    constructors, so the returned layout is built, and checked, once.
+    Stands in for :class:`GateLayout` on flat integer positions: a
+    position is ``z * width * height + y * width + x``, the node index
+    of the A* kernel.  The state has the attributes the kernel and the
+    pruning scans read (``width``, ``height``, ``scheme``, ``topology``,
+    ``_grid``, ``_route_arena``).  Placing an element or a routed path's
+    wires only marks the flat occupancy lists, updates the free-tile
+    counters and the Zobrist ``occupancy_hash``, and appends
+    ``(index, word, kind, fanins, name)`` to an undo log; the fanin refs
+    are indices too, and ``kind`` is ``None`` for a wire.
+    :meth:`snapshot` is the log length and :meth:`rollback` truncates
+    the log back to it.  Once the search succeeds, :meth:`materialize`
+    turns the surviving entries into ``Tile`` objects and replays them
+    through the validating ``GateLayout`` constructors, so the returned
+    layout is built, and checked, once.
     """
 
     __slots__ = (
@@ -561,60 +575,92 @@ class _SearchState:
     def num_free_border(self) -> int:
         return self._free_border
 
-    def _place(self, tile: Tile, marker: LayoutGate, op: tuple) -> None:
-        x, y, z = tile
-        index = y * self.width + x
-        self._grid[z][index] = marker
-        widx = 2 * (z * len(self._border) + index)
-        word = self._zobrist[widx]
-        if marker is _WIRE:
-            word ^= self._zobrist[widx + 1]
+    def _place(self, index: int, kind, fanins: tuple, name: str | None) -> None:
+        """Mark element ``kind`` (a ``GateType``) at ground ``index``."""
+        self._grid[0][index] = _ELEMENT
+        word = self._zobrist[2 * index]
         self.occupancy_hash ^= word
-        if not z:
-            self._free_ground -= 1
-            if self._border[index]:
-                self._free_border -= 1
-        self._log.append((z, index, word, op))
+        self._free_ground -= 1
+        if self._border[index]:
+            self._free_border -= 1
+        self._log.append((index, word, kind, fanins, name))
 
-    def create_pi(self, tile: Tile, name: str | None = None) -> None:
-        self._place(tile, _ELEMENT, (GateLayout.create_pi, tile, name))
+    def create_pi(self, index: int, name: str | None = None) -> None:
+        self._place(index, GateType.PI, (), name)
 
-    def create_po(self, tile: Tile, fanin: Tile, name: str | None = None) -> None:
-        self._place(tile, _ELEMENT, (GateLayout.create_po, tile, fanin, name))
+    def create_po(self, index: int, fanin: int, name: str | None = None) -> None:
+        self._place(index, GateType.PO, (fanin,), name)
 
     def create_gate(
-        self, gate_type: GateType, tile: Tile, fanins, name: str | None = None
+        self, gate_type: GateType, index: int, fanins, name: str | None = None
     ) -> None:
-        op = (GateLayout.create_gate, gate_type, tile, fanins, name)
-        self._place(tile, _ELEMENT, op)
+        self._place(index, gate_type, tuple(fanins), name)
 
-    def create_wire(self, tile: Tile, fanin: Tile) -> None:
-        self._place(tile, _WIRE, (GateLayout.create_wire, tile, fanin))
+    def create_wires(self, path: list[int]) -> int:
+        """Place wires on ``path``'s inner positions, each reading the one
+        before; return the last of them (``path[0]`` when none)."""
+        ground, above = self._grid
+        zobrist, border, log = self._zobrist, self._border, self._log
+        n = len(border)
+        digest = self.occupancy_hash
+        previous = path[0]
+        for index in path[1:-1]:
+            word = zobrist[2 * index] ^ zobrist[2 * index + 1]
+            digest ^= word
+            if index < n:
+                ground[index] = _WIRE
+                self._free_ground -= 1
+                if border[index]:
+                    self._free_border -= 1
+            else:
+                above[index - n] = _WIRE
+            log.append((index, word, None, (previous,), None))
+            previous = index
+        self.occupancy_hash = digest
+        return previous
 
     def snapshot(self) -> int:
         """O(1) marker of the current log position."""
         return len(self._log)
 
     def rollback(self, mark: int) -> None:
-        """Undo every placement logged since ``mark`` (LIFO)."""
+        """Undo every placement logged since ``mark``."""
         log = self._log
         if mark > len(log):
             raise ValueError(f"snapshot {mark} is ahead of the undo log")
-        grid, border = self._grid, self._border
-        while len(log) > mark:
-            z, index, word, _ = log.pop()
-            grid[z][index] = None
-            self.occupancy_hash ^= word
-            if not z:
+        ground, above = self._grid
+        border = self._border
+        n = len(border)
+        digest = self.occupancy_hash
+        for index, word, _kind, _fanins, _name in log[mark:]:
+            digest ^= word
+            if index < n:
+                ground[index] = None
                 self._free_ground += 1
                 if border[index]:
                     self._free_border += 1
+            else:
+                above[index - n] = None
+        del log[mark:]
+        self.occupancy_hash = digest
 
     def materialize(self, name: str = "") -> GateLayout:
         """Replay the logged placements onto a new, cropped layout."""
-        layout = GateLayout(self.width, self.height, self.scheme, self.topology, name)
-        for *_, op in self._log:
-            op[0](layout, *op[1:])
+        w, n = self.width, len(self._border)
+        layout = GateLayout(w, self.height, self.scheme, self.topology, name)
+
+        def tile(index: int) -> Tile:
+            return Tile(index % w, index % n // w, index // n)
+
+        for index, _word, kind, fanins, label in self._log:
+            if kind is None:
+                layout.create_wire(tile(index), tile(fanins[0]))
+            elif kind is GateType.PI:
+                layout.create_pi(tile(index), label)
+            elif kind is GateType.PO:
+                layout.create_po(tile(index), tile(fanins[0]), label)
+            else:
+                layout.create_gate(kind, tile(index), [tile(f) for f in fanins], label)
         layout.shrink_to_fit()
         return layout
 
@@ -685,6 +731,15 @@ class _Searcher:
         self._gate_orders: dict = {}
         self._po_orders: dict = {}
         if self.optimized:
+            routing = self.routing
+            #: Per-ratio limits of the A* kernel: crossings, crossing
+            #: penalty, cost cap (wire length + 1) and expansions.
+            self._limits = (
+                routing.allow_crossings,
+                routing.crossing_penalty,
+                routing.max_length + 1,
+                routing.max_expansions,
+            )
             self._reach_memo: dict = {}
             # Dead-signal tracking: placed elements that still owe a
             # connection to an unplaced reader.  If such a signal has no
@@ -865,9 +920,10 @@ class _Searcher:
         candidates = self._capped(candidates)
         if self._monotone:
             candidates = self._window(candidates, 0, self._span - self._to_po[uid])
+        w = layout.width
         for tile in candidates:
             mark = layout.snapshot() if self.optimized else None
-            layout.create_pi(tile, node.name)
+            layout.create_pi(tile if mark is None else tile.y * w + tile.x, node.name)
             self.position[uid] = tile
             if mark is not None:
                 self._track_place(uid, (), tile)
@@ -925,17 +981,18 @@ class _Searcher:
             # constrained A*), which kills hopeless A* calls wholesale.
             w = layout.width
             for fanin in fanins:
-                reach = self._reachable(fanin)
+                reach = self._reachable(fanin.y * w + fanin.x)
                 candidates = [t for t in candidates if t.y * w + t.x in reach]
         for tile in candidates:
             self._check_time()
             mark = layout.snapshot() if self.optimized else None
-            refs = self._route_fanins(fanins, tile)
+            at = tile if mark is None else tile.y * w + tile.x
+            refs = self._route_fanins(fanins, at)
             if refs is None:
                 if mark is not None:
                     layout.rollback(mark)
                 continue
-            layout.create_gate(node.gate_type, tile, refs, node.name)
+            layout.create_gate(node.gate_type, at, refs, node.name)
             self.position[uid] = tile
             if mark is not None:
                 self._track_place(uid, node.fanins, tile)
@@ -967,19 +1024,20 @@ class _Searcher:
             capped = self._window(
                 capped, self._from_pi.get(signal, 0) + 1, self._span
             )
+        w = layout.width
         if self.optimized:
-            reach = self._reachable(driver)
-            w = layout.width
+            reach = self._reachable(driver.y * w + driver.x)
             capped = [t for t in capped if t.y * w + t.x in reach]
         for tile in capped:
             self._check_time()
             mark = layout.snapshot() if self.optimized else None
-            refs = self._route_fanins([driver], tile)
+            at = tile if mark is None else tile.y * w + tile.x
+            refs = self._route_fanins([driver], at)
             if refs is None:
                 if mark is not None:
                     layout.rollback(mark)
                 continue
-            layout.create_po(tile, refs[0], name or f"po{index}")
+            layout.create_po(at, refs[0], name or f"po{index}")
             if mark is not None:
                 self._track_place(None, (signal,), None)
             if self.search(depth + 1):
@@ -999,15 +1057,15 @@ class _Searcher:
 
     # -- memoized reachability ---------------------------------------------
 
-    def _reachable(self, source: Tile) -> set[int]:
-        """Ground indices reachable from ``source`` by any wire path.
+    def _reachable(self, start: int) -> set[int]:
+        """Ground indices reachable from ground index ``start`` by any wire path.
 
         An occupancy-only flood over the clock-admissible successor
         table: no wire-length cap, no avoid set, no expansion budget —
         a strict over-approximation of what the in-search A* can do, so
         filtering candidates through it never prunes a routable one.
         """
-        key = (source.ground, self.layout.occupancy_hash)
+        key = (start, self.layout.occupancy_hash)
         memo = self._reach_memo
         cached = memo.get(key)
         if cached is not None:
@@ -1017,7 +1075,6 @@ class _Searcher:
         ground, above = layout._grid
         allow_cross = self.routing.allow_crossings
         buf = GateType.BUF
-        start = source.y * layout.width + source.x
         reach: set[int] = set()
         visited = {start}
         queue = [start]
@@ -1040,8 +1097,40 @@ class _Searcher:
         memo[key] = reach
         return reach
 
-    def _route_fanins(self, fanins: list[Tile], target: Tile) -> list[Tile] | None:
-        """Route all fanins into ``target`` with distinct entry sides."""
+    def _route_fanins(self, fanins: list[Tile], target):
+        """Route all fanins into ``target`` with distinct entry sides.
+
+        ``target`` and the returned refs (each fanin's last wire, or the
+        fanin itself) are flat indices on the search state and ``Tile``
+        objects on the baseline's ``GateLayout``; ``None`` if a fanin
+        cannot be routed.
+        """
+        if not self.optimized:
+            return self._route_fanins_layout(fanins, target)
+        state = self.layout
+        w = state.width
+        n = w * state.height
+        limits = self._limits
+        refs: list[int] = []
+        # The earlier refs' ground and crossing indices; their ground
+        # entries (< n) double as the distinct-entry check.
+        avoid: set[int] = set()
+        for fanin in fanins:
+            source = fanin.y * w + fanin.x
+            path = _astar(state, source, target, avoid, *limits)
+            if path is None:
+                return None
+            ref = path[-2]
+            entry = ref - n if ref >= n else ref
+            if entry in avoid:
+                return None
+            refs.append(state.create_wires(path))
+            avoid.add(entry)
+            avoid.add(entry + n)
+        return refs
+
+    def _route_fanins_layout(self, fanins: list[Tile], target: Tile) -> list[Tile] | None:
+        """The baseline's ``_route_fanins``, on a ``GateLayout``."""
         refs: list[Tile] = []
         ends: list[tuple[Tile, Tile]] = []
         for fanin in fanins:
@@ -1056,16 +1145,12 @@ class _Searcher:
                     avoid=taken,
                     engine=options.engine,
                 )
-            if self.optimized:
-                path = _find_path_fast(self.layout, fanin, target, options)
-            else:
-                path = find_path(self.layout, fanin, target, options)
+            path = find_path(self.layout, fanin, target, options)
             if path is None or (
                 len(path) >= 2 and refs and path[-2].ground in {r.ground for r in refs}
             ):
-                if not self.optimized:
-                    for end, src in ends:
-                        unroute(self.layout, end, src)
+                for end, src in ends:
+                    unroute(self.layout, end, src)
                 return None
             previous = path[0]
             for pos in path[1:-1]:

@@ -13,11 +13,14 @@ expose their full loop structure.
 
 Two engines implement the same search:
 
-* the **fast** engine (default) runs over flat integer node arrays with
-  reusable open/closed arenas and per-grid successor tables derived from
-  the precomputed clock-neighbour tables
+* the **fast** engine (default) is one index-level A* kernel,
+  :func:`_astar`, over flat integer nodes ``z * width * height +
+  y * width + x`` with reusable open/closed arenas and per-grid
+  successor tables derived from the precomputed clock-neighbour tables
   (:func:`repro.layout.clocking.neighbor_tables`), so the hot loop does
-  no ``Tile`` allocation, no zone arithmetic, and no dict hashing;
+  no ``Tile`` allocation, no zone arithmetic, and no dict hashing.  The
+  exact search calls it directly on indices; ``find_path``'s fast
+  engine, :func:`_find_path_fast`, is its ``Tile`` wrapper;
 * the **reference** engine is the original tile-dict implementation,
   kept selectable (``RoutingOptions(engine="reference")``) for
   differential testing and benchmark baselines.
@@ -170,10 +173,62 @@ def _arena_for(layout: GateLayout) -> _RouteArena:
 def _find_path_fast(
     layout: GateLayout, source: Tile, target: Tile, options: RoutingOptions
 ) -> list[Tile] | None:
+    """``Tile`` wrapper of :func:`_astar` (the fast ``find_path`` engine)."""
     width, height = layout.width, layout.height
     tx, ty = target.x, target.y
     if not (0 <= tx < width and 0 <= ty < height):
         return None
+    n = width * height
+    avoid = options.avoid
+    if avoid:
+        # Positions off the grid or off layers 0/1 can never be stepped
+        # on; dropping them keeps them from aliasing onto real indices.
+        avoid = {
+            z * n + y * width + x
+            for x, y, z in avoid
+            if 0 <= x < width and 0 <= y < height and (z == 0 or z == 1)
+        }
+    cap = None if options.max_length is None else options.max_length + 1
+    path = _astar(
+        layout,
+        (source.z * height + source.y) * width + source.x,
+        ty * width + tx,
+        avoid,
+        options.allow_crossings,
+        options.crossing_penalty,
+        cap,
+        options.max_expansions,
+        options.prune_dominated,
+    )
+    if path is None:
+        return None
+    tiles = [Tile(i % width, i % n // width, i // n) for i in path[:-1]]
+    tiles.append(target)
+    return tiles
+
+
+def _astar(
+    layout,
+    src_idx: int,
+    t_gidx: int,
+    avoid,
+    allow_cross: bool,
+    cpen: int,
+    cap: int | None,
+    max_exp: int,
+    prune_dominated: bool = False,
+) -> list[int] | None:
+    """The index-level A* kernel shared by ``find_path`` and the exact search.
+
+    Routes from node ``src_idx`` to ground index ``t_gidx`` of
+    ``layout`` (a :class:`GateLayout` or any object with its ``width``,
+    ``height``, ``scheme``, ``topology``, ``_grid`` and ``_route_arena``).
+    Nodes are flat ``z * width * height + y * width + x`` indices;
+    ``avoid`` holds node indices the path must not use, ``cap`` bounds
+    the path cost (``max_length + 1``, or ``None``) and ``max_exp`` the
+    node expansions.  Returns the node indices from ``src_idx`` to
+    ``t_gidx``, or ``None`` when no admissible path exists.
+    """
     arena = _arena_for(layout)
     arena.stamp += 1
     stamp = arena.stamp
@@ -181,17 +236,10 @@ def _find_path_fast(
     xs, ys = arena.xs, arena.ys
     n_ground = arena.n_ground
     ground, above = layout._grid[0], layout._grid[1]
-    avoid = options.avoid
-    allow_cross = options.allow_crossings
-    cpen = options.crossing_penalty
-    max_exp = options.max_expansions
-    cap = None if options.max_length is None else options.max_length + 1
     buf = GateType.BUF
     hexa = layout.topology is not Topology.CARTESIAN
-    prune = options.prune_dominated and not hexa and layout.scheme.diagonal
-
-    t_gidx = ty * width + tx
-    src_idx = (source.z * height + source.y) * width + source.x
+    prune = prune_dominated and not hexa and layout.scheme.diagonal
+    tx, ty = xs[t_gidx], ys[t_gidx]
 
     if hexa:
         taq = tx - (ty + (ty & 1)) // 2
@@ -222,9 +270,12 @@ def _find_path_fast(
             continue
         gidx = idx - n_ground if idx >= n_ground else idx
         if gidx == t_gidx and idx != src_idx:
-            return _reconstruct_fast(
-                parents, src_idx, idx, target, width, height, n_ground
-            )
+            path = [idx]
+            while idx != src_idx:
+                idx = parents[idx]
+                path.append(idx)
+            path.reverse()
+            return path
         expansions += 1
         if expansions > max_exp:
             return None
@@ -241,14 +292,14 @@ def _find_path_fast(
                     # itself a crossing; honour allow_crossings.
                     if above[n_g] is not None and not allow_cross:
                         continue
-                    if avoid and (xs[n_g], ys[n_g], 0) in avoid:
+                    if avoid and n_g in avoid:
                         continue
                     step_idx = n_g
                     step_cost = cost + 1
                 elif allow_cross and gate.gate_type is buf and above[n_g] is None:
-                    if avoid and (xs[n_g], ys[n_g], 1) in avoid:
-                        continue
                     step_idx = n_g + n_ground
+                    if avoid and step_idx in avoid:
+                        continue
                     step_cost = cost + 1 + cpen
                 else:
                     continue
@@ -266,26 +317,6 @@ def _find_path_fast(
             heappush(heap, (f, counter, step_cost, step_idx))
             counter += 1
     return None
-
-
-def _reconstruct_fast(
-    parents: list[int],
-    src_idx: int,
-    last_idx: int,
-    target: Tile,
-    width: int,
-    height: int,
-    n_ground: int,
-) -> list[Tile]:
-    path = [target]
-    idx = last_idx
-    while idx != src_idx:
-        idx = parents[idx]
-        z, rem = divmod(idx, n_ground)
-        y, x = divmod(rem, width)
-        path.append(Tile(x, y, z))
-    path.reverse()
-    return path
 
 
 # -- reference engine ------------------------------------------------------------------

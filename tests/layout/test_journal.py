@@ -2,16 +2,25 @@
 
 The optimized exact search places, routes and backtracks on a
 search-local :class:`~repro.physical_design.exact._SearchState` instead
-of a :class:`GateLayout`.  These tests pin down that a rollback restores
-its complete observable state — both occupancy layers, the free-tile
-counters, the occupancy hash and the surviving ops — bit for bit.
+of a :class:`GateLayout`, addressing positions and fanin refs by flat
+``z * width * height + y * width + x`` indices.  These tests pin down
+that a rollback restores its complete observable state — both occupancy
+layers, the free-tile counters, the occupancy hash and the surviving
+log entries — bit for bit.
 """
 
 import pytest
 
-from repro.layout import TWODDWAVE, Tile, Topology
+from repro.layout import TWODDWAVE, Topology
 from repro.networks import GateType
 from repro.physical_design.exact import _SearchState
+
+W = 5
+N = W * W
+
+
+def _at(x: int, y: int, z: int = 0) -> int:
+    return z * N + y * W + x
 
 
 def _state(state: _SearchState):
@@ -20,37 +29,37 @@ def _state(state: _SearchState):
         state.occupancy_hash,
         state.num_free_ground(),
         state.num_free_border(),
-        [entry[3] for entry in state._log],
+        list(state._log),
     )
 
 
 def small_state():
-    return _SearchState(5, 5, TWODDWAVE, Topology.CARTESIAN)
+    return _SearchState(W, W, TWODDWAVE, Topology.CARTESIAN)
 
 
 class TestSnapshotRollback:
     def test_rollback_undoes_placements(self):
         state = small_state()
-        a = Tile(0, 0)
+        a = _at(0, 0)
         state.create_pi(a, "a")
         before = _state(state)
         mark = state.snapshot()
-        b, w = Tile(0, 1), Tile(1, 0)
+        b = _at(0, 1)
         state.create_pi(b, "b")
-        state.create_wire(w, a)
-        state.create_gate(GateType.AND, Tile(1, 1), [w, b], "g")
+        w = state.create_wires([a, _at(1, 0), _at(1, 1)])
+        state.create_gate(GateType.AND, _at(1, 1), [w, b], "g")
         state.rollback(mark)
         assert _state(state) == before
 
     def test_nested_snapshots_unwind_lifo(self):
         state = small_state()
-        state.create_pi(Tile(0, 0), "a")
+        state.create_pi(_at(0, 0), "a")
         outer_state = _state(state)
         outer = state.snapshot()
-        state.create_pi(Tile(0, 1), "b")
+        state.create_pi(_at(0, 1), "b")
         inner_state = _state(state)
         inner = state.snapshot()
-        state.create_pi(Tile(0, 2), "c")
+        state.create_pi(_at(0, 2), "c")
         state.rollback(inner)
         assert _state(state) == inner_state
         state.rollback(outer)
@@ -58,17 +67,17 @@ class TestSnapshotRollback:
 
     def test_rollback_restores_crossings(self):
         state = small_state()
-        a, w = Tile(0, 1), Tile(1, 1)
+        a = _at(0, 1)
         state.create_pi(a, "a")
-        state.create_wire(w, a)
+        w = state.create_wires([a, _at(1, 1), _at(2, 1)])
         before = _state(state)
         mark = state.snapshot()
-        state.create_wire(Tile(1, 1, 1), w)
-        assert state._grid[1][1 * 5 + 1] is not None
+        assert state.create_wires([w, _at(1, 1, 1), _at(1, 2)]) == _at(1, 1, 1)
+        assert state._grid[1][1 * W + 1] is not None
         assert state.num_free_ground() == before[2]  # crossings are not ground
         state.rollback(mark)
         assert _state(state) == before
-        assert state._grid[1][1 * 5 + 1] is None
+        assert state._grid[1][1 * W + 1] is None
 
 
 class TestJournalGuards:
@@ -80,21 +89,21 @@ class TestJournalGuards:
 
     def test_digest_stable_under_rollback(self):
         state = small_state()
-        a, w = Tile(0, 0), Tile(1, 0)
+        a, w = _at(0, 0), _at(1, 0)
         state.create_pi(a, "a")
         digest = state.occupancy_hash
         mark = state.snapshot()
-        state.create_wire(w, a)
+        state.create_wires([a, w, _at(2, 0)])
         assert state.occupancy_hash != digest
         state.rollback(mark)
         assert state.occupancy_hash == digest
         # Re-doing the identical placement reproduces the identical hash,
         # and a wire hashes apart from a non-wire element on that tile.
-        state.create_wire(w, a)
+        state.create_wires([a, w, _at(2, 0)])
         redo = state.occupancy_hash
         state.rollback(mark)
         state.create_pi(w, "b")
         assert state.occupancy_hash not in (digest, redo)
         state.rollback(mark)
-        state.create_wire(w, a)
+        state.create_wires([a, w, _at(2, 0)])
         assert state.occupancy_hash == redo

@@ -1,5 +1,9 @@
 """Tests for structural network analysis."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 import pytest
 
@@ -103,3 +107,25 @@ class TestProfile:
         assert "mux21" in text
         assert "I/O = 3/1" in text
         assert "critical" in text
+
+
+def test_cli_import_does_not_load_networkx():
+    # networkx is imported only where the graph functions need it, so a
+    # cold ``mnt-bench`` start does not pay for it.
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    snippet = (
+        f"import sys; sys.path.insert(0, {src!r}); import repro.cli; "
+        "loaded = 'networkx' in sys.modules; "
+        "from repro.networks import profile; "
+        "from repro.networks.library import mux21; "
+        "p = profile(mux21()); "
+        "print(loaded, p.components, 'networkx' in sys.modules)"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", snippet],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert completed.stdout.split() == ["False", "1", "True"]

@@ -70,6 +70,67 @@ class TestRouterEquivalence:
             )
 
 
+    @pytest.mark.parametrize("scheme,topology", SCHEMES)
+    def test_fast_matches_reference_through_crossings(self, scheme, topology, rng):
+        """Wire chains as obstacles, so paths step under BUFs onto z = 1,
+        and avoid sets with crossing-layer and off-grid positions."""
+        crossing_paths = 0
+        for trial in range(60):
+            w, h = rng.randint(4, 8), rng.randint(4, 8)
+            layout = GateLayout(w, h, scheme, topology)
+            # Source in the upper half, target in the lower one: on the
+            # monotone schemes most pairs are then connected at all.
+            source = Tile(rng.randrange(w), rng.randrange(h // 2))
+            target = Tile(rng.randrange(w), rng.randrange(h // 2, h))
+            layout.create_pi(source, "src")
+            free = {Tile(x, y) for y in range(h) for x in range(w)} - {source, target}
+            for chain in range(rng.randint(1, 4)):
+                if not free:
+                    break
+                start = rng.choice(sorted(free))
+                free.discard(start)
+                previous = layout.create_pi(start, f"drv{chain}")
+                for _step in range(rng.randint(2, w + h)):
+                    steps = [
+                        Tile(previous.x + dx, previous.y + dy)
+                        for dx, dy in ((1, 0), (0, 1), (-1, 0), (0, -1))
+                    ]
+                    steps = [t for t in steps if t in free]
+                    if not steps:
+                        break
+                    tile = rng.choice(steps)
+                    free.discard(tile)
+                    previous = layout.create_wire(tile, previous)
+                    if rng.random() < 0.15:
+                        # Occupy the crossing layer too: no hop over here.
+                        previous = layout.create_wire(tile.above, previous)
+            inside = [
+                Tile(x, y, z) for x in range(w) for y in range(h) for z in (0, 1)
+            ]
+            avoid = frozenset(
+                [t for t in inside if t.ground != target and rng.random() < 0.05]
+                + [Tile(-1, 0), Tile(w, 0), Tile(0, -1), Tile(0, h), Tile(0, 0, 2)]
+            )
+            options = dict(
+                allow_crossings=rng.random() < 0.85,
+                crossing_penalty=rng.choice([0, 1, 2]),
+                max_length=rng.choice([None, rng.randint(3, w + h)]),
+                avoid=avoid,
+            )
+            fast = find_path(
+                layout, source, target, RoutingOptions(engine="fast", **options)
+            )
+            ref = find_path(
+                layout, source, target, RoutingOptions(engine="reference", **options)
+            )
+            assert fast == ref, (
+                f"{scheme.name} trial {trial}: fast={fast} reference={ref}"
+            )
+            if fast is not None and any(t.z == 1 for t in fast):
+                crossing_paths += 1
+        assert crossing_paths > 0, "no compared path used the crossing layer"
+
+
 class TestExactDifferential:
     def _compare(self, ntk, scheme, timeout=20.0):
         opt = exact_layout(
