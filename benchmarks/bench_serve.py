@@ -17,7 +17,7 @@ fixed think interval before its next request, modelling an interactive
 consumer.  A single client therefore leaves the server idle most of the
 time; the sweep measures how much of that idle time the threaded server
 reclaims by overlapping independent clients — which is precisely what
-``ThreadingHTTPServer`` plus the snapshot/epoch read path buys, and it
+the thread-per-connection server plus the snapshot/epoch read path buys, and it
 is measurable even on a single-core host where raw CPU parallelism is
 unavailable.
 

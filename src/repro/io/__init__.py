@@ -11,11 +11,12 @@ from .fgl import (
     write_fgl,
 )
 from .qca import cell_layout_to_qca, qca_to_cell_layout, read_qca, write_qca
-from .sqd import read_sqd, sidb_layout_to_sqd, sqd_to_sidb_layout, write_sqd
+from .sqd import SqdError, read_sqd, sidb_layout_to_sqd, sqd_to_sidb_layout, write_sqd
 
 __all__ = [
     "FGL_VERSION",
     "FglError",
+    "SqdError",
     "cell_layout_to_qca",
     "fgl_to_layout",
     "fgl_to_layout_xml",

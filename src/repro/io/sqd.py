@@ -16,6 +16,10 @@ from xml.dom import minidom
 from ..celllayout.cell_layout import SiDBLayout
 
 
+class SqdError(ValueError):
+    """Raised for malformed ``.sqd`` content."""
+
+
 def _escape_text(value: str) -> str:
     return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
@@ -105,7 +109,10 @@ def write_sqd(layout: SiDBLayout, path) -> None:
 
 def sqd_to_sidb_layout(text: str) -> SiDBLayout:
     """Parse SiQAD XML back into an SiDB layout."""
-    root = ET.fromstring(text)
+    try:
+        root = ET.fromstring(text)
+    except ET.ParseError as exc:
+        raise SqdError(f"not well-formed SiQAD XML: {exc}") from None
     layout = SiDBLayout()
     name = root.findtext("program/name")
     if name:
@@ -114,9 +121,10 @@ def sqd_to_sidb_layout(text: str) -> SiDBLayout:
         latcoord = dbdot.find("latcoord")
         if latcoord is None:
             continue
-        n = int(latcoord.get("n", "0"))
-        m = int(latcoord.get("m", "0"))
-        l = int(latcoord.get("l", "0"))
+        try:
+            n, m, l = (int(latcoord.get(axis, "0")) for axis in "nml")
+        except ValueError:
+            raise SqdError(f"non-integer latcoord {latcoord.attrib}") from None
         layout.add_dot(n, m, l)
         label_el = dbdot.find("label")
         if label_el is not None and label_el.text:

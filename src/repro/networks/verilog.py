@@ -120,6 +120,11 @@ def _deduplicate(names: list[str], taken: set[str] | None = None) -> list[str]:
 # Reading
 # ---------------------------------------------------------------------------
 
+#: Deepest nesting of parentheses and ternary branches in one assign
+#: expression; deeper input raises :class:`VerilogError` instead of
+#: exhausting the interpreter stack (each level costs a few frames).
+MAX_NESTING = 100
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<id>[A-Za-z_\\][\w$\[\]\.]*)|(?P<const>1'b[01])|(?P<op>[~&|^?:()]))"
 )
@@ -137,6 +142,8 @@ class _ExpressionParser:
         self.pos = 0
         self.resolve = resolve
         self.network = network
+        #: Open parentheses and ternary branches around the cursor.
+        self.depth = 0
 
     @staticmethod
     def _tokenize(text: str) -> list[str]:
@@ -173,10 +180,12 @@ class _ExpressionParser:
         cond = self._or()
         if self._peek() == "?":
             self._next()
+            self._descend()
             then = self._ternary()
             if self._next() != ":":
                 raise VerilogError("expected ':' in ternary expression")
             orelse = self._ternary()
+            self.depth -= 1
             return self.network.create_mux(cond, then, orelse)
         return cond
 
@@ -202,21 +211,31 @@ class _ExpressionParser:
         return left
 
     def _unary(self) -> int:
-        token = self._peek()
-        if token == "~":
+        negations = 0
+        while self._peek() == "~":  # a loop, not recursion: any run of ~ is fine
             self._next()
-            return self.network.create_not(self._unary())
+            negations += 1
+        token = self._peek()
         if token == "(":
             self._next()
-            inner = self._ternary()
+            self._descend()
+            signal = self._ternary()
             if self._next() != ")":
                 raise VerilogError("unbalanced parentheses")
-            return inner
-        if token in ("1'b0", "1'b1"):
+            self.depth -= 1
+        elif token in ("1'b0", "1'b1"):
             self._next()
-            return self.network.get_constant(token == "1'b1")
-        identifier = self._next()
-        return self.resolve(identifier)
+            signal = self.network.get_constant(token == "1'b1")
+        else:
+            signal = self.resolve(self._next())
+        for _ in range(negations):
+            signal = self.network.create_not(signal)
+        return signal
+
+    def _descend(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise VerilogError(f"expression nests deeper than {MAX_NESTING} levels")
 
 
 def parse_verilog(text: str) -> LogicNetwork:

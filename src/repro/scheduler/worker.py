@@ -176,19 +176,23 @@ class WorkerPool:
         return sum(1 for w in self._workers if w.current is not None)
 
     def dispatch(self, idx: int, task) -> None:
-        for worker in self._workers:
-            if worker.current is None:
-                try:
-                    worker.conn.send((idx, task))
-                except (BrokenPipeError, OSError):
-                    # Worker died while idle; replace it and try the rest.
-                    self._drop(worker)
-                    self.deaths += 1
-                    self._spawn()
-                    continue
-                worker.current = idx
-                worker.started_at = monotonic()
-                return
+        # Each dead idle worker is replaced by a fresh one, which is tried
+        # too; so at most every worker plus its replacement is tried.
+        for _ in range(2 * len(self._workers)):
+            worker = next((w for w in self._workers if w.current is None), None)
+            if worker is None:
+                break
+            try:
+                worker.conn.send((idx, task))
+            except (BrokenPipeError, OSError):
+                # Worker died while idle; replace it and try the rest.
+                self._drop(worker)
+                self.deaths += 1
+                self._spawn()
+                continue
+            worker.current = idx
+            worker.started_at = monotonic()
+            return
         raise RuntimeError("dispatch() called with no idle worker")
 
     def poll(self, timeout: float) -> list[tuple[str, int, object]]:

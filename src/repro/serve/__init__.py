@@ -9,8 +9,10 @@ package turns the fast in-process serving layer (facet-indexed
 engine) into that system:
 
 * :class:`~repro.serve.app.BenchServer` — a
-  :class:`http.server.ThreadingHTTPServer` with keep-alive (HTTP/1.1)
-  connections, one handler thread per client;
+  :class:`socketserver.ThreadingTCPServer` with its own small HTTP/1.1
+  reader: bounded request heads with typed 400/408/414/431/505 errors,
+  keep-alive connections with an idle timeout, one handler thread per
+  client, and each response's header block sent in one ``sendall``;
 * :class:`~repro.serve.handlers.BenchService` — the endpoint logic,
   framework-free and fully unit-testable without sockets;
 * snapshot isolation via :class:`repro.core.snapshot.SnapshotManager`:

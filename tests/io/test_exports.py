@@ -1,5 +1,7 @@
 """Tests for the QCADesigner (.qca) and SiQAD (.sqd) exporters."""
 
+import pytest
+
 from repro.gatelibs import apply_bestagon, apply_qca_one
 from repro.io import cell_layout_to_qca, sidb_layout_to_sqd, write_qca, write_sqd
 from repro.networks.library import full_adder, mux21
@@ -132,3 +134,22 @@ class TestSqdReader:
         path = tmp_path / "layout.sqd"
         write_sqd(layout, path)
         assert read_sqd(path).num_dots() == layout.num_dots()
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("", "well-formed"),
+            ("<siqad>", "well-formed"),
+            (
+                '<siqad><design><layer type="DB"><dbdot>'
+                '<latcoord n="x" m="0" l="0"/></dbdot></layer></design></siqad>',
+                "non-integer latcoord",
+            ),
+        ],
+        ids=["empty", "truncated", "non-numeric-latcoord"],
+    )
+    def test_malformed_input_raises_sqd_error(self, text, match):
+        from repro.io import SqdError, sqd_to_sidb_layout
+
+        with pytest.raises(SqdError, match=match):
+            sqd_to_sidb_layout(text)

@@ -15,6 +15,7 @@ from repro.networks import (
 )
 from repro.networks.generators import DEFAULT_GATE_MIX, GeneratorSpec, generate_network
 from repro.networks.library import full_adder, full_adder_maj, mux21
+from repro.networks.verilog import MAX_NESTING
 
 
 class TestWriter:
@@ -143,6 +144,24 @@ class TestParser:
             parse_verilog(
                 "module t(a, y);\ninput a;\noutput y;\nassign y = (a;\nendmodule"
             )
+
+    @pytest.mark.parametrize(
+        "expr", ["(" * 5000 + "a" + ")" * 5000, "a ? " * 5000 + "a" + " : a" * 5000]
+    )
+    def test_deep_nesting_rejected(self, expr):
+        with pytest.raises(VerilogError, match="nests deeper"):
+            parse_verilog(f"module t(a, y);\ninput a;\noutput y;\nassign y = {expr};\nendmodule")
+
+    def test_nesting_limit_parses(self):
+        depth = MAX_NESTING
+        expr = "(" * depth + "~a" + ")" * depth
+        ntk = parse_verilog(f"module t(a, y);\ninput a;\noutput y;\nassign y = {expr};\nendmodule")
+        assert ntk.evaluate([True]) == [False]
+
+    def test_long_negation_chain_parses(self):
+        expr = "~" * 5000 + "a"
+        ntk = parse_verilog(f"module t(a, y);\ninput a;\noutput y;\nassign y = {expr};\nendmodule")
+        assert ntk.evaluate([True]) == [True]
 
 
 RICH_MIX = DEFAULT_GATE_MIX + ((GateType.MAJ, 0.08), (GateType.MUX, 0.08))

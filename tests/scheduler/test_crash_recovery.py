@@ -23,7 +23,7 @@ import pytest
 from repro.benchsuite import get_benchmark
 from repro.core import BenchmarkDatabase
 from repro.core.bench import GenerationParams
-from repro.scheduler import GenerationJournal, JOURNAL_NAME, SchedulerParams
+from repro.scheduler import GenerationJournal, JOURNAL_NAME, SchedulerParams, WorkerPool
 
 from .conftest import (
     DETERMINISTIC_PARAMS,
@@ -181,6 +181,27 @@ def test_resume_after_orphan_pack_tail(tmp_path):
     )
     assert resumed["executed"] == 2
     assert_databases_identical(reference, victim)
+
+
+def _identity(task):
+    return task
+
+
+def test_dispatch_skips_past_a_dead_idle_worker():
+    """An idle worker found dead at dispatch is replaced, and the task
+    goes to the replacement even when the dead one was the last idle
+    worker in the pool's list."""
+    pool = WorkerPool(2, _identity)
+    try:
+        busy, idle = pool._workers
+        busy.current = 99  # running some other task
+        idle.process.kill()
+        idle.process.join(timeout=5)
+        pool.dispatch(0, "task")
+        assert pool.deaths == 1
+        assert [w.current for w in pool._workers] == [99, 0]
+    finally:
+        pool.shutdown()
 
 
 def test_worker_sigkill_is_retried_in_process(tmp_path, monkeypatch):
