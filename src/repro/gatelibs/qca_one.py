@@ -76,13 +76,19 @@ def side_of(tile: Tile, neighbor: Tile) -> str:
 def apply_qca_one(layout: GateLayout, engine: str = "blocks") -> QCACellLayout:
     """Compile a Cartesian gate-level layout into QCA ONE cells.
 
-    The default ``"blocks"`` engine memoizes one precompiled 5×5 cell
-    block per (gate type, entry sides, exit sides, crossing signature)
-    and stamps it per occupied tile with flat dict writes — compilation
-    cost scales with occupied tiles and *distinct* tile shapes, not with
-    per-tile block construction.  The ``"reference"`` engine builds each
-    block from scratch per tile (the retained original); both produce
-    identical cell layouts, which the differential tests assert.
+    The default ``"blocks"`` engine reads each ground tile's side
+    signature straight from raw coordinate offsets (fanins, the reader
+    lists of ``layout._readers`` and the crossing gate in
+    ``layout._grid[1]``), memoizes one precompiled 5×5 cell block per
+    (gate type, entry sides, exit sides, crossing signature), and stamps
+    it per tile into flat position/cell/zone lists that fill the cell
+    and zone dicts in one bulk update each — the cost scales with
+    occupied tiles and *distinct* tile shapes, with no ``Tile`` built
+    per neighbour and no per-cell dict write.  The ``"reference"``
+    engine builds each block anew per tile (the retained
+    original); both produce equal cell and zone dicts in the same
+    insertion order, which the differential tests and the cell golden
+    corpus assert.
     """
     if layout.topology is not Topology.CARTESIAN:
         raise QCAOneError("QCA ONE targets Cartesian layouts")
@@ -93,8 +99,12 @@ def apply_qca_one(layout: GateLayout, engine: str = "blocks") -> QCACellLayout:
     cell_layout = QCACellLayout(name=layout.name, tile_size=TILE_SIZE)
     cells = cell_layout.cells
     zones = cell_layout.zones
-    templates: dict[tuple, list] = {}
-    get_reader_bucket = layout._readers.get
+    templates: dict[tuple, tuple] = {}
+    readers = layout._readers
+    crossings = layout._grid[1]
+    width = layout.width
+    sides = _SIDES
+    positions, blocks, tile_zones, labels = [], [], [], []
     for tile, gate in layout.tiles():
         gate_type = gate.gate_type
         if gate_type not in SUPPORTED_GATES:
@@ -102,55 +112,90 @@ def apply_qca_one(layout: GateLayout, engine: str = "blocks") -> QCACellLayout:
                 f"QCA ONE has no cell implementation for {gate_type.value}; "
                 "decompose the network to AOIG first"
             )
-        if tile.z == 1:
+        x, y, z = tile
+        if z:
             # The crossing layer is realised coplanarly inside the ground
             # tile's block (rotated cells); handled when visiting z = 0.
             continue
-        in_sides = tuple(side_of(tile, f.ground) for f in gate.fanins)
-        out_sides = tuple(_out_sides(layout, tile))
-        above = layout.get(tile.above)
-        if above is None:
-            crossing = None
-        else:
-            crossing = (
-                side_of(tile, above.fanins[0].ground),
-                tuple(
-                    side_of(tile, reader.ground)
-                    for reader in get_reader_bucket(tile.above, ())
-                    if reader.ground != tile.ground
-                ),
-            )
+        above = crossings[y * width + x]
+        try:
+            in_sides = tuple([sides[(fx - x, fy - y)] for fx, fy, _ in gate.fanins])
+            # Readers on the same ground position are the vertical hop
+            # into the crossing layer, realised by the crossing overlay.
+            out_sides = tuple([
+                sides[(rx - x, ry - y)]
+                for rx, ry, _ in readers.get(tile, ())
+                if rx != x or ry != y
+            ])
+            if above is None:
+                crossing = None
+            else:
+                fx, fy, _ = above.fanins[0]
+                crossing = (
+                    sides[(fx - x, fy - y)],
+                    tuple([
+                        sides[(rx - x, ry - y)]
+                        for rx, ry, _ in readers.get((x, y, 1), ())
+                        if rx != x or ry != y
+                    ]),
+                )
+        except KeyError:
+            # A neighbour that is not adjacent: side_of raises the typed error.
+            in_sides, out_sides, crossing = _signature(layout, tile, gate, above)
         key = (gate_type, in_sides, out_sides, crossing)
         template = templates.get(key)
         if template is None:
-            block = _block_from_sides(
-                gate_type, list(in_sides), list(out_sides), None, tile
+            template = templates[key] = _template(
+                gate_type, in_sides, out_sides, crossing, tile
             )
-            if crossing is not None:
-                _overlay_crossing(block, crossing[0], list(crossing[1]))
-            template = [
-                (k if len(k) == 3 else (k[0], k[1], 0), cell)
-                for k, cell in block.items()
-            ]
-            templates[key] = template
-        base_x, base_y = tile.x * TILE_SIZE, tile.y * TILE_SIZE
-        zone = layout.zone(tile)
-        for (dx, dy, layer), cell in template:
-            position = (base_x + dx, base_y + dy, layer)
-            cells[position] = cell
-            zones[position] = zone
+        offsets, block = template
+        base_x, base_y = x * TILE_SIZE, y * TILE_SIZE
+        positions += [(base_x + dx, base_y + dy, layer) for dx, dy, layer in offsets]
+        blocks += block
+        tile_zones += [layout.zone(tile)] * len(block)
         if gate.name is not None and (
             gate_type is GateType.PI or gate_type is GateType.PO
         ):
             # Templates are label-free so they are shareable; pin labels
-            # land on the centre cell afterwards.
+            # land on the centre cell afterwards (an existing key, so the
+            # insertion order stays that of the stamped blocks).
             centre_type = (
                 QCACellType.INPUT if gate_type is GateType.PI else QCACellType.OUTPUT
             )
-            cells[(base_x + _CENTER[0], base_y + _CENTER[1], 0)] = QCACell(
-                centre_type, gate.name
-            )
+            labels.append((
+                (base_x + _CENTER[0], base_y + _CENTER[1], 0),
+                QCACell(centre_type, gate.name),
+            ))
+    cells.update(zip(positions, blocks))
+    cells.update(labels)
+    zones.update(zip(positions, tile_zones))
     return cell_layout
+
+
+def _signature(layout: GateLayout, tile: Tile, gate, above) -> tuple:
+    """A ground tile's (in sides, out sides, crossing) through
+    :func:`side_of`, which raises :class:`QCAOneError` for a neighbour
+    that is not adjacent."""
+    crossing = None
+    if above is not None:
+        crossing = (
+            side_of(tile, above.fanins[0].ground),
+            tuple(_out_sides(layout, tile.above)),
+        )
+    return (
+        tuple(_in_sides(layout, tile, gate)),
+        tuple(_out_sides(layout, tile)),
+        crossing,
+    )
+
+
+def _template(gate_type, in_sides, out_sides, crossing, tile: Tile) -> tuple:
+    """One label-free block as (cell offsets with layer, cells)."""
+    block = _block_from_sides(gate_type, list(in_sides), list(out_sides), None, tile)
+    if crossing is not None:
+        _overlay_crossing(block, crossing[0], list(crossing[1]))
+    offsets = tuple(k if len(k) == 3 else (k[0], k[1], 0) for k in block)
+    return offsets, tuple(block.values())
 
 
 def _apply_reference(layout: GateLayout) -> QCACellLayout:

@@ -30,7 +30,10 @@ layout again, so both directions avoid building a DOM:
   ``<gate>`` as soon as it is recorded.  Both tiers build the layout
   with the same code, so a text reads to the same layout either way,
   and malformed content raises :class:`FglError` (a ``ValueError``)
-  naming the element, from either tier.
+  naming the element, from either tier.  A layout or gate name with a
+  C0 control character other than the tab (a line break, raw or as a
+  character reference) is malformed: names reach the line-based
+  cell-level formats as labels.
 """
 
 from __future__ import annotations
@@ -555,6 +558,19 @@ def _text_child(parent: ET.Element, tag: str, context: str) -> str:
     return child.text.strip()
 
 
+#: The control characters the canonical ``_NAME`` excludes (every C0
+#: control but the tab).  XML still delivers CR and LF, raw or as
+#: ``&#10;``/``&#13;``; a name carrying one would reach the line-based
+#: cell-level formats as file syntax.
+_NAME_CONTROL = re.compile(r"[\x00-\x08\x0a-\x1f]")
+
+
+def _checked_name(name: str, context: str) -> str:
+    if _NAME_CONTROL.search(name):
+        raise FglError(f"{context}: name {name!r} contains a control character")
+    return name
+
+
 def _tile_of(element: ET.Element, context: str) -> Tile:
     return Tile(
         _int_child(element, "x", context),
@@ -565,7 +581,7 @@ def _tile_of(element: ET.Element, context: str) -> Tile:
 
 def _header_to_layout(header: ET.Element) -> GateLayout:
     """Build the (still empty) layout from a completed ``<layout>`` header."""
-    name = _text_child(header, "name", "<layout>")
+    name = _checked_name(_text_child(header, "name", "<layout>"), "<layout>")
     topology_tag = _text_child(header, "topology", "<layout>")
     if topology_tag not in _TAG_TO_TOPOLOGY:
         raise FglError(f"unknown topology {topology_tag!r}")
@@ -606,6 +622,8 @@ def _gate_record(element: ET.Element) -> tuple:
     gate_type = _TAG_TO_TYPE[tag]
     name_el = element.find("name")
     gate_name = name_el.text.strip() if name_el is not None and name_el.text else None
+    if gate_name is not None:
+        _checked_name(gate_name, f"gate {gate_id}")
     loc_el = element.find("loc")
     if loc_el is None:
         raise FglError(f"gate {gate_id} has no <loc>")

@@ -26,51 +26,102 @@ _FUNCTION = {
 }
 
 
+def _cell_head(cell_type: QCACellType, crossing: bool) -> str:
+    """A ``QCADCell`` block up to its position lines."""
+    mode = (
+        "QCAD_CELL_MODE_CROSSOVER"
+        if cell_type is QCACellType.ROTATED or crossing
+        else "QCAD_CELL_MODE_NORMAL"
+    )
+    head = (
+        "[TYPE:QCADCell]\n"
+        f"cell_options.cxCell={CELL_PITCH_NM:.6f}\n"
+        f"cell_options.cyCell={CELL_PITCH_NM:.6f}\n"
+        f"cell_options.dot_diameter={CELL_PITCH_NM / 4:.6f}\n"
+        f"cell_options.mode={mode}\ncell_function={_FUNCTION[cell_type]}\n"
+    )
+    if cell_type is QCACellType.FIXED_0:
+        head += "cell_options.polarization=-1.000000\n"
+    elif cell_type is QCACellType.FIXED_1:
+        head += "cell_options.polarization=1.000000\n"
+    return head
+
+
+#: Block head per cell type, on the ground layer (False) and on the
+#: via/crossing layers (True).
+_HEADS = {
+    crossing: {cell_type: _cell_head(cell_type, crossing) for cell_type in QCACellType}
+    for crossing in (False, True)
+}
+
+
+class _Lines(dict):
+    """Text per key, formatted on first use: ``x=…``/``y=…`` lines per
+    coordinate, or a cell's closing lines per label."""
+
+    __slots__ = ("_format",)
+
+    def __init__(self, format_line) -> None:
+        super().__init__()
+        self._format = format_line
+
+    def __missing__(self, key):
+        line = self[key] = self._format(key)
+        return line
+
+
+def _closing(label: str | None) -> str:
+    """A cell block's label block (if it has a label) and closing tag."""
+    if not label:
+        return "[#TYPE:QCADCell]\n"
+    if label.splitlines() != [label]:
+        raise ValueError(f"cell label {label!r} contains a line break")
+    return f"[TYPE:QCADLabel]\npsz={label}\n[#TYPE:QCADLabel]\n[#TYPE:QCADCell]\n"
+
+
 def cell_layout_to_qca(layout: QCACellLayout, engine: str = "stream") -> str:
     """Serialise a QCA cell layout in QCADesigner file syntax.
 
-    The default ``"stream"`` engine groups cells by layer in one pass
-    and sorts each layer's cells once — O(C log C) total — with the
-    constant per-cell option lines precomputed.  The ``"reference"``
-    engine is the retained original (which re-sorts the full cell dict
-    once *per layer*); both emit byte-identical files, which the
-    differential tests and the scalability bench oracle assert.
+    The default ``"stream"`` engine groups cell positions by layer in
+    one pass and sorts each layer's positions once — O(C log C) total.
+    A cell block is then four memoized text pieces: the block head per
+    (cell type, layer > 0), the ``x=…`` and ``y=…`` lines per
+    coordinate, and the closing lines per label; no float is formatted
+    per cell.  The ``"reference"`` engine is the retained original
+    (which re-sorts the full cell dict once *per layer*); both emit
+    byte-identical files, which the differential tests, the cell golden
+    corpus and the scalability bench oracle assert.
+
+    A label with a line break raises :class:`ValueError`: the reader
+    would take its second line for file syntax.
     """
     if engine == "reference":
         return _to_qca_reference(layout)
     if engine != "stream":
         raise ValueError(f"unknown .qca writer engine {engine!r}")
+    cells = layout.cells
     by_layer: dict[int, list] = {}
-    for key, cell in layout.cells.items():
-        by_layer.setdefault(key[2], []).append((key, cell))
-    size_lines = (
-        f"cell_options.cxCell={CELL_PITCH_NM:.6f}\n"
-        f"cell_options.cyCell={CELL_PITCH_NM:.6f}\n"
-        f"cell_options.dot_diameter={CELL_PITCH_NM / 4:.6f}\n"
-    )
+    for key in cells:
+        by_layer.setdefault(key[2], []).append(key)
+    xs = _Lines(lambda x: f"x={x * CELL_PITCH_NM:.6f}\n")
+    ys = _Lines(lambda y: f"y={y * CELL_PITCH_NM:.6f}\n")
+    closings = _Lines(_closing)
     parts: list[str] = [
         "[VERSION]\nqcadesigner_version=2.000000\n[#VERSION]\n[TYPE:DESIGN]\n"
     ]
     for layer in sorted(by_layer):
+        heads = _HEADS[layer > 0]
         parts.append(f"[TYPE:QCADLayer]\ntype=1\nstatus=0\npszDescription=layer {layer}\n")
-        for (x, y, _), cell in sorted(by_layer[layer]):
-            cell_type = cell.cell_type
-            mode = (
-                "QCAD_CELL_MODE_CROSSOVER"
-                if cell_type is QCACellType.ROTATED or layer > 0
-                else "QCAD_CELL_MODE_NORMAL"
+        keys = by_layer[layer]
+        keys.sort()
+        for key in keys:
+            cell = cells[key]
+            parts += (
+                heads[cell.cell_type],
+                xs[key[0]],
+                ys[key[1]],
+                closings[cell.label],
             )
-            parts.append("[TYPE:QCADCell]\n")
-            parts.append(size_lines)
-            parts.append(f"cell_options.mode={mode}\ncell_function={_FUNCTION[cell_type]}\n")
-            if cell_type is QCACellType.FIXED_0:
-                parts.append("cell_options.polarization=-1.000000\n")
-            elif cell_type is QCACellType.FIXED_1:
-                parts.append("cell_options.polarization=1.000000\n")
-            parts.append(f"x={x * CELL_PITCH_NM:.6f}\ny={y * CELL_PITCH_NM:.6f}\n")
-            if cell.label:
-                parts.append(f"[TYPE:QCADLabel]\npsz={cell.label}\n[#TYPE:QCADLabel]\n")
-            parts.append("[#TYPE:QCADCell]\n")
         parts.append("[#TYPE:QCADLayer]\n")
     parts.append("[#TYPE:DESIGN]\n")
     return "".join(parts)

@@ -85,6 +85,36 @@ class TestApplication:
         with pytest.raises(QCAOneError, match="decompose"):
             apply_qca_one(lay)
 
+    def test_cells_and_zones_keep_the_reference_order(self):
+        layout = orthogonal_layout(full_adder()).layout
+        fast = apply_qca_one(layout)
+        reference = apply_qca_one(layout, engine="reference")
+        assert list(fast.cells.items()) == list(reference.cells.items())
+        assert list(fast.zones.items()) == list(reference.zones.items())
+
+
+def _skipping_layout(crossing: bool) -> GateLayout:
+    """A layout with one signal that skips a tile: on the ground layer,
+    or into the crossing layer above a ground wire."""
+    lay = GateLayout(4, 3, TWODDWAVE)
+    a = lay.create_pi(Tile(1, 0), "a")
+    wire = lay.create_wire(Tile(1, 1), a)
+    lay.create_po(Tile(1, 2), wire, "f")
+    b = lay.create_pi(Tile(3, 1), "b")
+    if crossing:
+        lay.create_po(Tile(0, 1), lay.create_wire(Tile(1, 1, 1), b), "g")
+    else:
+        lay.create_po(Tile(0, 2), b, "g")
+    return lay
+
+
+class TestAdjacency:
+    @pytest.mark.parametrize("crossing", [False, True], ids=["ground", "crossing"])
+    @pytest.mark.parametrize("engine", ["blocks", "reference"])
+    def test_non_adjacent_neighbour_rejected(self, crossing, engine):
+        with pytest.raises(QCAOneError, match="not adjacent"):
+            apply_qca_one(_skipping_layout(crossing), engine=engine)
+
 
 class TestDispatcher:
     def test_library_names(self, and_layout):

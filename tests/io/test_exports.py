@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.celllayout import QCACell, QCACellType
 from repro.gatelibs import apply_bestagon, apply_qca_one
 from repro.io import cell_layout_to_qca, sidb_layout_to_sqd, write_qca, write_sqd
 from repro.networks.library import full_adder, mux21
@@ -48,6 +49,14 @@ class TestQcaWriter:
     def test_labels_emitted(self):
         text = cell_layout_to_qca(qca_cells())
         assert "[TYPE:QCADLabel]" in text
+
+    @pytest.mark.parametrize("label", ["a\nx=1", "a\r", "a\u2028b"])
+    def test_label_with_line_break_rejected(self, label):
+        cells = qca_cells()
+        position = cells.inputs()[0]
+        cells.cells[position] = QCACell(QCACellType.INPUT, label)
+        with pytest.raises(ValueError, match="line break"):
+            cell_layout_to_qca(cells)
 
     def test_file_write(self, tmp_path):
         path = tmp_path / "layout.qca"

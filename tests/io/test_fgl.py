@@ -382,6 +382,26 @@ class TestTypedErrors:
                 with pytest.raises(FglError, match="<zone>"):
                     read(variant)
 
+    @pytest.mark.parametrize("field", ["layout", "gate"])
+    @pytest.mark.parametrize(
+        "name", ["a\nx=1", "a&#10;x=1", "a&#13;b", "a\n[TYPE:QCADCell]\nx=9990"]
+    )
+    def test_line_break_in_name_raises_fgl_error(self, field, name):
+        # A name's line break would reach the line-based .qca output as
+        # file syntax (an injected cell), so the XML tier refuses it.
+        text = layout_to_fgl(_pin_layout())
+        original = "<name>lname</name>" if field == "layout" else "<name>pin</name>"
+        text = text.replace(original, f"<name>{name}</name>")
+        for read in (fgl_to_layout, fgl_to_layout_xml):
+            with pytest.raises(FglError, match="control character"):
+                read(text)
+
+    def test_surrounding_line_breaks_are_stripped(self):
+        text = layout_to_fgl(_pin_layout()).replace(
+            "<name>pin</name>", "<name>\n  pin\n</name>"
+        )
+        assert fgl_to_layout(text).get(Tile(0, 0)).name == "pin"
+
     def test_undecodable_text(self):
         text = layout_to_fgl(_pin_layout(layout_name="a\ud800b"))
         with pytest.raises(FglError):
