@@ -103,7 +103,7 @@ def _time_plo(layout, engine: str, repeats: int, cold_arena: bool):
     for _ in range(repeats):
         clone = layout.clone()
         if cold_arena:
-            routing._pooled_arena.cache_clear()
+            routing._ARENA_POOL.clear()
         started = time.perf_counter()
         result = post_layout_optimization(clone, params)
         best = min(best, time.perf_counter() - started)

@@ -285,12 +285,14 @@ def write_fgl(layout: GateLayout, path) -> None:
 # ---------------------------------------------------------------------------
 
 # A name as the writer emits it after _escape_text: no markup character,
-# no line break, no character XML forbids, and no entity but the four
+# no line break (``str.splitlines`` also breaks at U+0085, U+2028 and
+# U+2029), no character XML forbids, and no entity but the four
 # _escape_text writes.  Other entities, a raw '>' (and so ']]>') and
 # '\r' (which XML turns into '\n') are left to the XML tier, as is a
 # name with surrounding whitespace (the XML tier strips it).
 _NAME = (
-    '((?:[^<>&"\\r\\n\\x00-\\x08\\x0b\\x0c\\x0e-\\x1f\\ud800-\\udfff\\ufffe\\uffff]'
+    '((?:[^<>&"\\r\\n\\x00-\\x08\\x0b\\x0c\\x0e-\\x1f\\x85\\u2028\\u2029'
+    '\\ud800-\\udfff\\ufffe\\uffff]'
     "|&(?:amp|lt|gt|quot);)+)"
 )
 _NUM = "([0-9]{1,9})"
@@ -558,16 +560,19 @@ def _text_child(parent: ET.Element, tag: str, context: str) -> str:
     return child.text.strip()
 
 
-#: The control characters the canonical ``_NAME`` excludes (every C0
-#: control but the tab).  XML still delivers CR and LF, raw or as
-#: ``&#10;``/``&#13;``; a name carrying one would reach the line-based
-#: cell-level formats as file syntax.
-_NAME_CONTROL = re.compile(r"[\x00-\x08\x0a-\x1f]")
+#: The characters the canonical ``_NAME`` excludes as control or line
+#: break characters: every C0 control but the tab, and the other line
+#: boundaries of ``str.splitlines`` (U+0085, U+2028, U+2029).  XML still
+#: delivers them, raw or as character references; a name carrying one
+#: would reach the line-based cell-level formats as file syntax.
+_NAME_CONTROL = re.compile(r"[\x00-\x08\x0a-\x1f\x85\u2028\u2029]")
 
 
 def _checked_name(name: str, context: str) -> str:
     if _NAME_CONTROL.search(name):
-        raise FglError(f"{context}: name {name!r} contains a control character")
+        raise FglError(
+            f"{context}: name {name!r} contains a control character or line break"
+        )
     return name
 
 

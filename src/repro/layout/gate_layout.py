@@ -29,32 +29,39 @@ from .coordinates import Tile, Topology, adjacent, neighbors
 DENSE_AREA_LIMIT = 1 << 20
 
 
-class _SparseLayer:
+def is_sparse_area(width: int, height: int) -> bool:
+    """Do grids of this size use the sparse backing?
+
+    The one size test shared by the occupancy layers and the router's
+    search arena, so both switch backings at the same grid size.
+    """
+    return width * height > DENSE_AREA_LIMIT
+
+
+class _SparseLayer(dict):
     """Dict-backed stand-in for one dense flat occupancy list.
 
     Speaks the ``layer[index]`` / ``layer[index] = gate`` protocol of
     the dense ``list`` layers — including ``layer[index] = None`` to
     clear a position — so direct ``_grid`` consumers (the router, the
     exact engine's frontier scans) work unchanged on layouts whose
-    bounding canvas is too large to materialise densely.
+    bounding canvas is too large to materialise densely.  Reads are
+    ``dict.get`` itself, so a probe of a free position costs one C-level
+    lookup and no Python frame.
     """
 
-    __slots__ = ("_cells",)
+    __slots__ = ()
 
-    def __init__(self, cells: dict[int, LayoutGate] | None = None) -> None:
-        self._cells: dict[int, LayoutGate] = cells if cells is not None else {}
-
-    def __getitem__(self, index: int) -> LayoutGate | None:
-        return self._cells.get(index)
+    __getitem__ = dict.get
 
     def __setitem__(self, index: int, gate: LayoutGate | None) -> None:
         if gate is None:
-            self._cells.pop(index, None)
+            self.pop(index, None)
         else:
-            self._cells[index] = gate
+            dict.__setitem__(self, index, gate)
 
     def copy(self) -> "_SparseLayer":
-        return _SparseLayer(dict(self._cells))
+        return _SparseLayer(self)
 
 
 def _raster_key(tile: Tile) -> tuple[int, int, int]:
@@ -173,7 +180,7 @@ class GateLayout:
 
     @staticmethod
     def _make_grid(width: int, height: int):
-        if width * height > DENSE_AREA_LIMIT:
+        if is_sparse_area(width, height):
             return [_SparseLayer(), _SparseLayer()]
         return [[None] * (width * height), [None] * (width * height)]
 

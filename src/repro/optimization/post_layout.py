@@ -386,13 +386,26 @@ class _ConnectionIndex:
     falls inside its read rectangle.  Rectangles carry a one-tile
     margin so adjacent reads (a consumer's other fanin references, the
     crossing layer above a removed wire) are covered conservatively.
+
+    Two views of the same changes answer that question exactly:
+    the change log (ground positions in commit order, with the log
+    length after every commit) and a last-change stamp per position,
+    kept as one ``x -> seq`` dict per touched row.  ``dirty_since``
+    scans whichever is smaller — the log suffix after ``seq`` or the
+    rectangle's touched rows — so a check costs O(min(rectangle,
+    changes since)), never the whole history or the whole rectangle
+    area.
     """
 
     def __init__(self, layout: GateLayout) -> None:
         self.layout = layout
         self.seq = 0
-        #: Applied-change log, ascending by sequence number.
-        self._changes: list[tuple[int, int, int]] = []
+        #: Ground positions touched by applied changes, in commit order;
+        #: ``_log_end[seq]`` is the log length after commit ``seq``.
+        self._changes: list[tuple[int, int]] = []
+        self._log_end: list[int] = [0]
+        #: y -> {x -> seq of the last change touching (x, y)}.
+        self._stamps: dict[int, dict[int, int]] = {}
         self._entries: dict[Tile, _IndexEntry] = {}
         #: tile -> (seq, rect) of the gate's last failed attempt.
         self._failures: dict[Tile, tuple[int, tuple[int, int, int, int]]] = {}
@@ -455,23 +468,47 @@ class _ConnectionIndex:
         """Record an applied structural change touching ``tiles``."""
         self.seq += 1
         seq = self.seq
-        seen: set[tuple[int, int]] = set()
+        changes = self._changes
+        stamps = self._stamps
         for tile in tiles:
-            key = (tile.x, tile.y)
-            if key not in seen:
-                seen.add(key)
-                self._changes.append((seq, tile.x, tile.y))
+            x, y = tile.x, tile.y
+            row = stamps.get(y)
+            if row is None:
+                row = stamps[y] = {}
+            elif row.get(x) == seq:
+                continue
+            row[x] = seq
+            changes.append((x, y))
+        self._log_end.append(len(changes))
 
     def dirty_since(self, seq: int, rect: tuple[int, int, int, int]) -> bool:
         """Did any change newer than ``seq`` touch ``rect``?"""
         if seq == self.seq:
             return False  # revalidated this very generation: nothing newer
-        changes = self._changes
-        start = bisect.bisect_right(changes, (seq, 1 << 30, 1 << 30))
         x0, y0, x1, y1 = rect
-        for _, x, y in changes[start:]:
-            if x0 <= x <= x1 and y0 <= y <= y1:
-                return True
+        start = self._log_end[seq]
+        changes = self._changes
+        stamps = self._stamps
+        height = y1 - y0 + 1
+        if len(changes) - start <= min(height, len(stamps)):
+            for x, y in changes[start:]:
+                if x0 <= x <= x1 and y0 <= y <= y1:
+                    return True
+            return False
+        if len(stamps) < height:
+            rows = [row for y, row in stamps.items() if y0 <= y <= y1]
+        else:
+            rows = [stamps[y] for y in range(y0, y1 + 1) if y in stamps]
+        width = x1 - x0 + 1
+        for row in rows:
+            if len(row) <= width:
+                for x, stamp in row.items():
+                    if stamp > seq and x0 <= x <= x1:
+                        return True
+            else:
+                for x in range(x0, x1 + 1):
+                    if row.get(x, 0) > seq:
+                        return True
         return False
 
     # -- trace cache --------------------------------------------------------
@@ -962,11 +999,16 @@ def _strands_crossing(layout: GateLayout, removed: list[Tile]) -> bool:
     ground tile (the via stack lives in the ground block), so wire
     chains running *under* someone else's crossing must stay put.
     """
-    removing = set(removed)
-    return any(
-        t.z == 0 and layout.is_occupied(t.above) and t.above not in removing
-        for t in removed
-    )
+    above = layout._grid[1]
+    width, height = layout.width, layout.height
+    removing = None  # built only once some removed tile has a crossing
+    for x, y, z in removed:
+        if z == 0 and 0 <= x < width and 0 <= y < height and above[y * width + x] is not None:
+            if removing is None:
+                removing = set(removed)
+            if Tile(x, y, 1) not in removing:
+                return True
+    return False
 
 
 #: Parked fanin reference used while an element is detached; rewired

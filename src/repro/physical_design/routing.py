@@ -15,12 +15,14 @@ Two engines implement the same search:
 
 * the **fast** engine (default) is one index-level A* kernel,
   :func:`_astar`, over flat integer nodes ``z * width * height +
-  y * width + x`` with reusable open/closed arenas and per-grid
+  y * width + x`` with per-grid search arenas (:class:`_RouteArena`):
   successor tables derived from the precomputed clock-neighbour tables
-  (:func:`repro.layout.clocking.neighbor_tables`), so the hot loop does
-  no ``Tile`` allocation, no zone arithmetic, and no dict hashing.  The
-  exact search calls it directly on indices; ``find_path``'s fast
-  engine, :func:`_find_path_fast`, is its ``Tile`` wrapper;
+  (:func:`repro.layout.clocking.neighbor_tables`) plus open/closed
+  state, eager lists on dense grids and lazily filled maps on sparse
+  ones, so the hot loop does no ``Tile`` allocation and no zone
+  arithmetic.  The exact search calls it directly on indices;
+  ``find_path``'s fast engine, :func:`_find_path_fast`, is its ``Tile``
+  wrapper;
 * the **reference** engine is the original tile-dict implementation,
   kept selectable (``RoutingOptions(engine="reference")``) for
   differential testing and benchmark baselines.
@@ -31,15 +33,15 @@ insertion order, so they return bit-identical paths.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
 
 from ..networks.logic_network import GateType
 from ..layout.clocking import ClockingScheme, neighbor_tables
 from ..layout.coordinates import Tile, Topology, grid_distance, neighbors
-from ..layout.gate_layout import GateLayout
+from ..layout.gate_layout import DENSE_AREA_LIMIT, GateLayout, is_sparse_area
 
 
 @dataclass(frozen=True)
@@ -100,15 +102,29 @@ def find_path(
 
 
 class _RouteArena:
-    """Reusable per-grid search state for the fast A* engine.
+    """Per-grid search state for the fast A* engine.
 
-    Nodes are flat integers ``z * width * height + y * width + x``.  The
-    ``succ`` table maps each ground index to its clock-admissible
-    in-bounds neighbour indices (in the same order the reference engine
-    visits them), so the hot loop touches no Tile objects.  ``visit``
-    carries a generation stamp: bumping ``stamp`` invalidates the whole
-    closed set in O(1), letting thousands of routing calls share the
-    same arrays without clearing them.
+    Nodes are flat integers ``z * width * height + y * width + x``.
+    ``succ[g]`` holds ground index ``g``'s clock-admissible in-bounds
+    neighbour indices (in the same order the reference engine visits
+    them) and ``xs[g]``/``ys[g]`` its coordinates, so the hot loop
+    touches no Tile objects.  The backing is picked by the size test
+    the occupancy grid uses (:func:`repro.layout.gate_layout.is_sparse_area`):
+
+    * **dense** grids hold eager lists.  The successor table is built
+      row by row from periodic ``zip``-of-``range`` slices, with only
+      the border columns constructed tile by tile.  ``visit``,
+      ``cost`` and ``parent`` are ``2 * width * height`` lists;
+      ``visit`` carries a generation stamp, so bumping ``stamp``
+      invalidates the whole closed set in O(1) and thousands of routing
+      calls share the same arrays without clearing them;
+    * **sparse** grids (above ``DENSE_AREA_LIMIT``) fill ``succ``,
+      ``xs`` and ``ys`` lazily, one entry per node the searches reach,
+      and leave ``visit``/``cost``/``parent`` as ``None``: each search
+      gets fresh maps instead.  Memory follows the nodes expanded,
+      not the canvas.
+
+    :func:`_astar` indexes both backings the same way.
     """
 
     __slots__ = (
@@ -122,48 +138,168 @@ class _RouteArena:
         self.height = height
         n = width * height
         self.n_ground = n
-        px, py = tables.period_x, tables.period_y
-        out_rows = tables.outgoing
-        succ: list[tuple[int, ...]] = []
-        for y in range(height):
-            row = out_rows[y % py]
-            for x in range(width):
-                cell: list[int] = []
-                for dx, dy in row[x % px]:
-                    nx, ny = x + dx, y + dy
-                    if 0 <= nx < width and 0 <= ny < height:
-                        cell.append(ny * width + nx)
-                succ.append(tuple(cell))
-        self.succ = succ
-        self.xs = [i % width for i in range(n)]
-        self.ys = [i // width for i in range(n)]
         self.stamp = 0
+        if is_sparse_area(width, height):
+            self.succ = _LazySuccessors(width, height, tables)
+            self.xs = _LazyColumns(width)
+            self.ys = _LazyRows(width)
+            self.visit = self.cost = self.parent = None
+            return
+        self.succ = _successor_table(width, height, tables)
+        self.xs = list(range(width)) * height
+        ys: list[int] = []
+        for y in range(height):
+            ys += [y] * width
+        self.ys = ys
         self.visit = [0] * (2 * n)
         self.cost = [0] * (2 * n)
         self.parent = [0] * (2 * n)
 
 
-@functools.lru_cache(maxsize=64)
-def _pooled_arena(
-    width: int, height: int, scheme: ClockingScheme, topology: Topology
-) -> _RouteArena:
-    """Process-wide arena pool.
+def _cell_successors(x: int, y: int, width: int, height: int, tables) -> tuple[int, ...]:
+    """Ground indices tile ``(x, y)`` may send data into (one tile's entry)."""
+    cell: list[int] = []
+    for dx, dy in tables.outgoing[y % tables.period_y][x % tables.period_x]:
+        nx, ny = x + dx, y + dy
+        if 0 <= nx < width and 0 <= ny < height:
+            cell.append(ny * width + nx)
+    return tuple(cell)
+
+
+def _successor_table(width: int, height: int, tables) -> list[tuple[int, ...]]:
+    """The dense successor table, entry for entry `_cell_successors`.
+
+    Columns ``lo..hi`` keep every horizontal offset on the grid, so
+    within one row the entries of a residue class ``x ≡ r (mod
+    period_x)`` are the same offsets added to an arithmetic run of
+    indices: one ``zip`` over ``range`` objects builds them all in C.
+    Only the border columns outside ``lo..hi`` go tile by tile.
+    """
+    px, py = tables.period_x, tables.period_y
+    out_rows = tables.outgoing
+    dxs = [dx for row in out_rows for cell in row for dx, _ in cell]
+    lo = max(0, -min(dxs, default=0))
+    hi = width - 1 - max(0, max(dxs, default=0))
+    border = [x for x in range(width) if x < lo or x > hi]
+    succ: list[tuple[int, ...]] = [()] * (width * height)
+    for y in range(height):
+        base = y * width
+        row = out_rows[y % py]
+        for r in range(px):
+            first = lo + (r - lo) % px
+            if first > hi:
+                continue
+            count = (hi - first) // px + 1
+            start = base + first
+            stop = start + (count - 1) * px + 1
+            offsets = [dy * width + dx for dx, dy in row[r] if 0 <= y + dy < height]
+            if offsets:
+                succ[start:stop:px] = zip(
+                    *[range(start + o, stop + o, px) for o in offsets]
+                )
+            else:
+                succ[start:stop:px] = [()] * count
+        for x in border:
+            succ[base + x] = _cell_successors(x, y, width, height, tables)
+    return succ
+
+
+class _LazySuccessors(dict):
+    """Sparse-backing successor table: entries built on first lookup."""
+
+    __slots__ = ("width", "height", "tables")
+
+    def __init__(self, width: int, height: int, tables) -> None:
+        super().__init__()
+        self.width = width
+        self.height = height
+        self.tables = tables
+
+    def __missing__(self, g: int) -> tuple[int, ...]:
+        y, x = divmod(g, self.width)
+        cell = self[g] = _cell_successors(x, y, self.width, self.height, self.tables)
+        return cell
+
+
+class _LazyColumns(dict):
+    """Sparse-backing ``xs``: ``g % width``, stored on first lookup."""
+
+    __slots__ = ("width",)
+
+    def __init__(self, width: int) -> None:
+        super().__init__()
+        self.width = width
+
+    def __missing__(self, g: int) -> int:
+        x = self[g] = g % self.width
+        return x
+
+
+class _LazyRows(_LazyColumns):
+    """Sparse-backing ``ys``: ``g // width``, stored on first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, g: int) -> int:
+        y = self[g] = g // self.width
+        return y
+
+
+class _ArenaPool:
+    """Process-wide LRU pool of dense arenas, bounded by retained area.
 
     An arena's successor tables depend only on (size, scheme, topology)
     and its open/closed sets are generation-stamped, so one arena safely
-    serves every layout of the same shape — post-layout optimization and
-    database-wide sweeps reroute across thousands of short-lived layouts
-    and clones, and this keeps them from re-deriving the tables each
-    time.
+    serves every layout of the same shape — post-layout optimization,
+    database-wide sweeps and the exact search's per-ratio grids reroute
+    across thousands of short-lived layouts and clones, and this keeps
+    them from re-deriving the tables each time.  The pool keeps at most
+    ``max_area`` tiles' worth of arenas (the newest one always stays),
+    evicting the least recently used first.  Sparse arenas are never
+    pooled: they are cheap to create and their lazily filled tables
+    belong to the layout that filled them.
     """
-    return _RouteArena(width, height, scheme, topology)
+
+    def __init__(self, max_area: int) -> None:
+        self.max_area = max_area
+        self.area = 0
+        self._arenas: OrderedDict[tuple, _RouteArena] = OrderedDict()
+
+    def get(
+        self, width: int, height: int, scheme: ClockingScheme, topology: Topology
+    ) -> _RouteArena:
+        key = (width, height, scheme, topology)
+        arenas = self._arenas
+        arena = arenas.get(key)
+        if arena is not None:
+            arenas.move_to_end(key)
+            return arena
+        arena = _RouteArena(width, height, scheme, topology)
+        if arena.visit is None:
+            return arena
+        arenas[key] = arena
+        self.area += arena.n_ground
+        while self.area > self.max_area and len(arenas) > 1:
+            _, evicted = arenas.popitem(last=False)
+            self.area -= evicted.n_ground
+        return arena
+
+    def clear(self) -> None:
+        self._arenas.clear()
+        self.area = 0
+
+
+#: At most one largest dense grid's worth of tiles: a long ``optimize``
+#: worker cannot pile up megatile arenas, while the exact search's many
+#: small per-ratio grids all stay cached.
+_ARENA_POOL = _ArenaPool(DENSE_AREA_LIMIT)
 
 
 def _arena_for(layout: GateLayout) -> _RouteArena:
-    """The layout's reusable search arena (lazily built, reset on resize)."""
+    """The layout's search arena (pooled when dense, reset on resize)."""
     arena = layout._route_arena
     if arena is None:
-        arena = _pooled_arena(
+        arena = _ARENA_POOL.get(
             layout.width, layout.height, layout.scheme, layout.topology
         )
         layout._route_arena = arena
@@ -233,6 +369,8 @@ def _astar(
     arena.stamp += 1
     stamp = arena.stamp
     visit, costs, parents, succ = arena.visit, arena.cost, arena.parent, arena.succ
+    if visit is None:  # sparse backing: this search's own maps
+        visit, costs, parents = defaultdict(int), {}, {}
     xs, ys = arena.xs, arena.ys
     n_ground = arena.n_ground
     ground, above = layout._grid[0], layout._grid[1]
@@ -290,7 +428,7 @@ def _astar(
                 if gate is None:
                     # Stepping under an existing crossing-layer wire is
                     # itself a crossing; honour allow_crossings.
-                    if above[n_g] is not None and not allow_cross:
+                    if not allow_cross and above[n_g] is not None:
                         continue
                     if avoid and n_g in avoid:
                         continue

@@ -3,8 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analytics import LayoutBatch
+from repro.gatelibs import apply_qca_one
 from repro.io import (
     FglError,
+    cell_layout_to_qca,
     fgl_to_layout,
     fgl_to_layout_xml,
     layout_to_fgl,
@@ -395,6 +398,32 @@ class TestTypedErrors:
         for read in (fgl_to_layout, fgl_to_layout_xml):
             with pytest.raises(FglError, match="control character"):
                 read(text)
+
+    @pytest.mark.parametrize("field", ["layout", "gate"])
+    @pytest.mark.parametrize(
+        "name",
+        ["a\x85b", "a\u2028b", "a\u2029b", "a&#x2028;b", "a&#133;b", "a&#8233;b"],
+    )
+    def test_unicode_line_break_in_name_raises_fgl_error(self, field, name):
+        # ``str.splitlines`` also breaks at U+0085, U+2028 and U+2029,
+        # so the .qca writer would refuse such a label; both tiers and
+        # the columnar decoder refuse the name up front instead.
+        text = layout_to_fgl(_pin_layout())
+        original = "<name>lname</name>" if field == "layout" else "<name>pin</name>"
+        text = text.replace(original, f"<name>{name}</name>")
+        for read in (fgl_to_layout, fgl_to_layout_xml):
+            with pytest.raises(FglError, match="line break"):
+                read(text)
+        with pytest.raises(FglError, match="line break"):
+            LayoutBatch.from_texts([text])
+
+    @pytest.mark.parametrize("name", ["a\tb", "a\u00a0b", "a\u2027b", "a\u202fb"])
+    def test_accepted_pin_names_export_to_qca(self, name):
+        # A pin name both tiers accept is a label the .qca writer takes.
+        text = layout_to_fgl(_pin_layout(pin_name=name))
+        layout = fgl_to_layout(text)
+        assert fgl_to_layout_xml(text).structural_diff(layout) is None
+        assert name in cell_layout_to_qca(apply_qca_one(layout))
 
     def test_surrounding_line_breaks_are_stripped(self):
         text = layout_to_fgl(_pin_layout()).replace(
