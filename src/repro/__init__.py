@@ -25,134 +25,76 @@ See ``examples/`` for complete flows and ``benchmarks/`` for the
 harnesses regenerating the paper's Table I and Figure 1.
 """
 
-from .networks import (
-    GateType,
-    GeneratorSpec,
-    LogicNetwork,
-    TruthTable,
-    check_equivalence,
-    decompose_to_aoig,
-    generate_network,
-    network_to_verilog,
-    parse_verilog,
-    prepare_for_layout,
-    propagate_constants,
-    read_verilog,
-    write_verilog,
-)
-from .layout import (
-    CARTESIAN_SCHEMES,
-    ESR,
-    HEXAGONAL_SCHEMES,
-    RES,
-    ROW,
-    TWODDWAVE,
-    USE,
-    ClockingScheme,
-    GateLayout,
-    LayoutMetrics,
-    Tile,
-    Topology,
-    check_layout,
-    compute_metrics,
-    get_scheme,
-    layout_equivalent,
-    verify_layout,
-)
-from .physical_design import (
-    ExactParams,
-    ExactResult,
-    NanoPlaceRParams,
-    NanoPlaceRResult,
-    OrthoParams,
-    OrthoResult,
-    exact_layout,
-    nanoplacer_layout,
-    orthogonal_layout,
-)
-from .optimization import (
-    InputOrderingParams,
-    PostLayoutParams,
-    input_ordering,
-    post_layout_optimization,
-    to_hexagonal,
-)
-from .gatelibs import BESTAGON, QCA_ONE, apply_gate_library
-from .io import read_fgl, write_fgl
-from .benchsuite import all_benchmarks, benchmarks_of, get_benchmark, suites
-from .core import (
-    BenchmarkDatabase,
-    BestParams,
-    GenerationParams,
-    Selection,
-    best_layout,
-    facet_counts,
-    format_table,
-    table_row,
-)
+from ._lazy import lazy_namespace
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BESTAGON",
-    "BenchmarkDatabase",
-    "BestParams",
-    "CARTESIAN_SCHEMES",
-    "ClockingScheme",
-    "ESR",
-    "ExactParams",
-    "ExactResult",
-    "GateLayout",
-    "GateType",
-    "GenerationParams",
-    "GeneratorSpec",
-    "HEXAGONAL_SCHEMES",
-    "InputOrderingParams",
-    "LayoutMetrics",
-    "LogicNetwork",
-    "NanoPlaceRParams",
-    "NanoPlaceRResult",
-    "OrthoParams",
-    "OrthoResult",
-    "PostLayoutParams",
-    "QCA_ONE",
-    "RES",
-    "ROW",
-    "Selection",
-    "TWODDWAVE",
-    "Tile",
-    "Topology",
-    "TruthTable",
-    "USE",
-    "all_benchmarks",
-    "apply_gate_library",
-    "benchmarks_of",
-    "best_layout",
-    "check_equivalence",
-    "check_layout",
-    "compute_metrics",
-    "decompose_to_aoig",
-    "exact_layout",
-    "facet_counts",
-    "format_table",
-    "generate_network",
-    "get_benchmark",
-    "get_scheme",
-    "input_ordering",
-    "layout_equivalent",
-    "nanoplacer_layout",
-    "network_to_verilog",
-    "orthogonal_layout",
-    "parse_verilog",
-    "post_layout_optimization",
-    "prepare_for_layout",
-    "propagate_constants",
-    "read_fgl",
-    "read_verilog",
-    "suites",
-    "table_row",
-    "to_hexagonal",
-    "verify_layout",
-    "write_fgl",
-    "write_verilog",
-]
+# The public API, resolved on first use (see :mod:`repro._lazy`): a
+# script that needs one flow does not import every other.
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    ".networks": (
+        "GateType",
+        "GeneratorSpec",
+        "LogicNetwork",
+        "TruthTable",
+        "check_equivalence",
+        "decompose_to_aoig",
+        "generate_network",
+        "network_to_verilog",
+        "parse_verilog",
+        "prepare_for_layout",
+        "propagate_constants",
+        "read_verilog",
+        "write_verilog",
+    ),
+    ".layout": (
+        "CARTESIAN_SCHEMES",
+        "ESR",
+        "HEXAGONAL_SCHEMES",
+        "RES",
+        "ROW",
+        "TWODDWAVE",
+        "USE",
+        "ClockingScheme",
+        "GateLayout",
+        "LayoutMetrics",
+        "Tile",
+        "Topology",
+        "check_layout",
+        "compute_metrics",
+        "get_scheme",
+        "layout_equivalent",
+        "verify_layout",
+    ),
+    ".physical_design": (
+        "ExactParams",
+        "ExactResult",
+        "NanoPlaceRParams",
+        "NanoPlaceRResult",
+        "OrthoParams",
+        "OrthoResult",
+        "exact_layout",
+        "nanoplacer_layout",
+        "orthogonal_layout",
+    ),
+    ".optimization": (
+        "InputOrderingParams",
+        "PostLayoutParams",
+        "input_ordering",
+        "post_layout_optimization",
+        "to_hexagonal",
+    ),
+    ".gatelibs": ("BESTAGON", "QCA_ONE", "apply_gate_library"),
+    ".io": ("read_fgl", "write_fgl"),
+    ".benchsuite": ("all_benchmarks", "benchmarks_of", "get_benchmark", "suites"),
+    ".core": (
+        "BenchmarkDatabase",
+        "BestParams",
+        "GenerationParams",
+        "Selection",
+        "best_layout",
+        "facet_counts",
+        "format_table",
+        "table_row",
+    ),
+})

@@ -23,6 +23,7 @@ import io
 import json
 from dataclasses import dataclass
 
+from ..core.table import database_table_rows, format_table
 from .engine import best_pairs, gate_level_records, resolve_engine, sweep_database
 
 
@@ -210,8 +211,6 @@ def build_report(
     backend: str | None = None,
 ) -> AnalyticsReport:
     """Sweep the database once and assemble the full report."""
-    from ..core.table import database_table_rows, format_table
-
     engine = resolve_engine(engine)
     records = gate_level_records(db, selection)
     pairs = sweep_database(db, records, engine=engine, backend=backend)

@@ -34,22 +34,14 @@ import json
 import sys
 from pathlib import Path
 
-from .benchsuite import all_benchmarks, benchmarks_of, get_benchmark
-from .core import (
-    BenchmarkDatabase,
-    BestParams,
-    GenerationParams,
-    Selection,
-    facet_counts,
-    format_table,
-    table_row,
-)
-from .io import FglError, read_fgl
-from .layout import compute_metrics, write_svg
-from .networks import format_profile
+# Every command imports the subsystem it runs inside its ``_cmd_*``
+# function: ``mnt-bench --help`` or ``list`` must not pay for the
+# physical-design engines, and ``show`` not for the scheduler.
 
 
 def _cmd_list(args) -> int:
+    from .benchsuite import all_benchmarks
+
     for spec in all_benchmarks():
         kind = "function " if spec.is_exact_function else "synthetic"
         print(
@@ -59,15 +51,36 @@ def _cmd_list(args) -> int:
     return 0
 
 
+def _benchmark(command: str, token: str):
+    """The registered benchmark ``SUITE/NAME``: ``None`` (after a
+    one-line message) when there is none."""
+    from .benchsuite import get_benchmark
+
+    suite, _, name = token.partition("/")
+    try:
+        return get_benchmark(suite, name)
+    except KeyError:
+        print(f"mnt-bench {command}: unknown benchmark {token!r}", file=sys.stderr)
+        return None
+
+
 def _specs_from(args):
+    """The benchmarks ``generate`` runs: ``None`` (after a one-line
+    message) when a ``--benchmark`` or ``--suite`` names none."""
+    from .benchsuite import all_benchmarks, benchmarks_of
+
     if args.benchmark:
-        specs = []
-        for token in args.benchmark:
-            suite, _, name = token.partition("/")
-            specs.append(get_benchmark(suite, name))
-        return specs
+        specs = [_benchmark("generate", token) for token in args.benchmark]
+        return None if None in specs else specs
     if args.suite:
-        return [s for suite in args.suite for s in benchmarks_of(suite)]
+        specs = []
+        for suite in args.suite:
+            found = benchmarks_of(suite)
+            if not found:
+                print(f"mnt-bench generate: unknown suite {suite!r}", file=sys.stderr)
+                return None
+            specs += found
+        return specs
     return [s for s in all_benchmarks() if s.suite in ("trindade16", "fontes18")]
 
 
@@ -134,8 +147,13 @@ class _GenerateProgress:
 
 
 def _cmd_generate(args) -> int:
-    db = BenchmarkDatabase(args.database)
+    from .core import BenchmarkDatabase, GenerationParams
+    from .scheduler import SchedulerParams
+
     specs = _specs_from(args)
+    if specs is None:
+        return 2
+    db = BenchmarkDatabase(args.database)
     params = GenerationParams(
         node_cap=args.node_cap if args.node_cap > 0 else None,
         exact_timeout=args.exact_timeout,
@@ -152,8 +170,6 @@ def _cmd_generate(args) -> int:
         task_memory_budget_mb=args.task_memory_mb,
         reproducible=args.reproducible,
     )
-    from .scheduler import SchedulerParams
-
     scheduler = SchedulerParams(
         resume=args.resume,
         queue_dir=args.queue_dir,
@@ -206,6 +222,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    from .core import BenchmarkDatabase, GenerationParams, Selection
+
     db = BenchmarkDatabase(args.database)
     suites = list(args.suite or [])
     names = []
@@ -230,6 +248,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_query(args) -> int:
+    from .core import BenchmarkDatabase, Selection, facet_counts
+
     db = BenchmarkDatabase(args.database)
     try:
         selection = Selection.make(
@@ -270,6 +290,8 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_pack(args) -> int:
+    from .core import BenchmarkDatabase
+
     db = BenchmarkDatabase(args.database)
     stats = db.pack()
     print(
@@ -284,7 +306,9 @@ def _cmd_pack(args) -> int:
     return 0
 
 
-def _selection_from_filters(args) -> Selection | None:
+def _selection_from_filters(args):
+    from .core import Selection
+
     suites = list(args.suite or [])
     names = []
     for token in args.benchmark or []:
@@ -299,6 +323,8 @@ def _selection_from_filters(args) -> Selection | None:
 
 
 def _cmd_report(args) -> int:
+    from .core import BenchmarkDatabase
+
     db = BenchmarkDatabase(args.database)
     report = db.report(
         _selection_from_filters(args), engine=args.engine, backend=args.backend
@@ -313,6 +339,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_info(args) -> int:
+    from .core import BenchmarkDatabase
+
     db = BenchmarkDatabase(args.database)
     info = db.info(backend=args.backend)
     if args.json:
@@ -347,6 +375,8 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .core import BenchmarkDatabase
+
     db = BenchmarkDatabase(args.database)
     summary = db.verify_all(
         _selection_from_filters(args), engine=args.engine, backend=args.backend
@@ -362,8 +392,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_best(args) -> int:
-    suite, _, name = args.benchmark.partition("/")
-    spec = get_benchmark(suite, name)
+    from .core import BestParams, format_table, table_row
+
+    spec = _benchmark("best", args.benchmark)
+    if spec is None:
+        return 2
     params = BestParams(exact_timeout=args.exact_timeout)
     row, result = table_row(spec, args.library, params, node_cap=args.node_cap)
     print(format_table([row], args.library))
@@ -378,6 +411,8 @@ def _cmd_best(args) -> int:
 def _read_layout_file(command: str, path):
     """``read_fgl`` for the file commands: ``None`` (after a one-line
     message) when the file is missing or malformed."""
+    from .io import FglError, read_fgl
+
     try:
         return read_fgl(path)
     except (OSError, FglError) as exc:
@@ -386,6 +421,8 @@ def _read_layout_file(command: str, path):
 
 
 def _cmd_show(args) -> int:
+    from .layout import compute_metrics
+
     layout = _read_layout_file("show", args.file)
     if layout is None:
         return 2
@@ -396,6 +433,8 @@ def _cmd_show(args) -> int:
 
 
 def _cmd_svg(args) -> int:
+    from .layout import write_svg
+
     layout = _read_layout_file("svg", args.file)
     if layout is None:
         return 2
@@ -458,11 +497,31 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    suite, _, name = args.benchmark.partition("/")
-    spec = get_benchmark(suite, name)
+    from .networks import format_profile
+
+    spec = _benchmark("profile", args.benchmark)
+    if spec is None:
+        return 2
     network = spec.build(args.node_cap)
     print(format_profile(network))
     return 0
+
+
+def _positive(kind):
+    """argparse ``type=`` for a ``kind`` (``int`` or ``float``) above 0."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}"
+            ) from None
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, not {text}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -510,11 +569,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="rows per per-flow profile table (with --profile)",
     )
     gen.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_positive(int), default=1,
         help="worker processes for flow execution (1: in-process)",
     )
     gen.add_argument(
-        "--exact-jobs", type=int, default=1, metavar="N",
+        "--exact-jobs", type=_positive(int), default=1, metavar="N",
         help="intra-task workers per exact search (portfolio parallel "
         "engine with a shared incumbent bound; 1: sequential engine); "
         "clamped against --jobs to avoid oversubscription",
@@ -535,12 +594,12 @@ def build_parser() -> argparse.ArgumentParser:
         "heartbeat leases, stale-lease takeover)",
     )
     gen.add_argument(
-        "--task-timeout", type=float, metavar="SECONDS",
+        "--task-timeout", type=_positive(float), metavar="SECONDS",
         help="wall budget per flow task; overruns are SIGKILLed and "
         "recorded as timeout rejections",
     )
     gen.add_argument(
-        "--task-memory-mb", type=float, metavar="MIB",
+        "--task-memory-mb", type=_positive(float), metavar="MIB",
         help="address-space budget per flow task (RLIMIT_AS in the "
         "worker); overruns are recorded as memory rejections",
     )
@@ -578,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--plo-passes", type=int, default=8)
     opt.add_argument("--plo-timeout", type=float, default=20.0)
     opt.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_positive(int), default=1,
         help="worker processes for flow execution (1: in-process)",
     )
     opt.add_argument(
@@ -713,6 +772,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    database = getattr(args, "database", None)
+    if database is not None and args.command != "generate":
+        from .core import BenchmarkDatabase
+
+        # Only ``generate`` creates a database; the other verbs would
+        # otherwise make an empty one at a mistyped path and report it.
+        if not (Path(database) / BenchmarkDatabase.INDEX_NAME).is_file():
+            print(f"mnt-bench {args.command}: no database at {database}",
+                  file=sys.stderr)
+            return 2
     handlers = {
         "list": _cmd_list,
         "generate": _cmd_generate,

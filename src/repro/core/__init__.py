@@ -1,78 +1,48 @@
-"""MNT Bench core: benchmark database, selection, best-layout portfolio."""
+"""MNT Bench core: benchmark database, selection, best-layout portfolio.
 
-from .bench import (
-    BenchmarkDatabase,
-    BenchmarkFile,
-    FlowTask,
-    GenerationOutcome,
-    GenerationParams,
-    GenerationReport,
-)
-from .best import BESTAGON, QCA_ONE, BestParams, BestResult, FlowCandidate, best_layout
-from .facet_index import FacetIndex, records_digest
-from .snapshot import DatabaseSnapshot, SnapshotManager, StoreView
-from .store import (
-    DEFAULT_LAYOUT_CACHE_SIZE,
-    ArtifactNotFoundError,
-    ArtifactStore,
-)
-from .paper_data import BESTAGON_TABLE, QCA_ONE_TABLE, PaperEntry, paper_entry
-from .selection import (
-    ALGORITHMS,
-    CLOCKING_SCHEMES,
-    GATE_LIBRARIES,
-    OPTIMIZATIONS,
-    AbstractionLevel,
-    Selection,
-    facet_counts,
-)
-from .table import (
-    TableRow,
-    baseline_area,
-    database_table_rows,
-    format_table,
-    table_row,
-)
+The names below resolve on first use (see :mod:`repro._lazy`): the
+database and its query path do not import the best-layout portfolio,
+the paper tables or the snapshot layer until something reads them.
+"""
 
-__all__ = [
-    "ALGORITHMS",
-    "AbstractionLevel",
-    "ArtifactNotFoundError",
-    "ArtifactStore",
-    "DatabaseSnapshot",
-    "SnapshotManager",
-    "StoreView",
-    "BESTAGON",
-    "BESTAGON_TABLE",
-    "DEFAULT_LAYOUT_CACHE_SIZE",
-    "FacetIndex",
-    "BenchmarkDatabase",
-    "BenchmarkFile",
-    "BestParams",
-    "BestResult",
-    "CLOCKING_SCHEMES",
-    "FlowCandidate",
-    "FlowTask",
-    "GATE_LIBRARIES",
-    "GenerationOutcome",
-    "GenerationParams",
-    "GenerationReport",
-    "OPTIMIZATIONS",
-    "PaperEntry",
-    "QCA_ONE",
-    "QCA_ONE_TABLE",
-    "Selection",
-    "TableRow",
-    "baseline_area",
-    "best_layout",
-    "database_table_rows",
-    "facet_counts",
-    "format_table",
-    "paper_entry",
-    "records_digest",
-    "table_row",
-]
+from .._lazy import lazy_namespace
 
-from .contribute import SubmissionResult, submit_fgl_file, submit_layout
-
-__all__ += ["SubmissionResult", "submit_fgl_file", "submit_layout"]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    ".bench": (
+        "BenchmarkDatabase",
+        "BenchmarkFile",
+        "FlowTask",
+        "GenerationOutcome",
+        "GenerationParams",
+        "GenerationReport",
+    ),
+    ".best": (
+        "BESTAGON",
+        "QCA_ONE",
+        "BestParams",
+        "BestResult",
+        "FlowCandidate",
+        "best_layout",
+    ),
+    ".facet_index": ("FacetIndex", "records_digest"),
+    ".snapshot": ("DatabaseSnapshot", "SnapshotManager", "StoreView"),
+    ".store": ("DEFAULT_LAYOUT_CACHE_SIZE", "ArtifactNotFoundError", "ArtifactStore"),
+    ".paper_data": ("BESTAGON_TABLE", "QCA_ONE_TABLE", "PaperEntry", "paper_entry"),
+    ".selection": (
+        "ALGORITHMS",
+        "CLOCKING_SCHEMES",
+        "GATE_LIBRARIES",
+        "OPTIMIZATIONS",
+        "AbstractionLevel",
+        "Selection",
+        "facet_counts",
+    ),
+    ".table": (
+        "TableRow",
+        "baseline_area",
+        "database_table_rows",
+        "format_table",
+        "table_row",
+    ),
+    ".contribute": ("SubmissionResult", "submit_fgl_file", "submit_layout"),
+})

@@ -1,34 +1,23 @@
-"""File formats: .fgl (gate level), .qca (QCADesigner), .sqd (SiQAD)."""
+"""File formats: .fgl (gate level), .qca (QCADesigner), .sqd (SiQAD).
 
-from .fgl import (
-    FGL_VERSION,
-    FglError,
-    fgl_to_layout,
-    fgl_to_layout_xml,
-    layout_to_fgl,
-    layout_to_fgl_reference,
-    read_fgl,
-    write_fgl,
-)
-from .qca import cell_layout_to_qca, qca_to_cell_layout, read_qca, write_qca
-from .sqd import SqdError, read_sqd, sidb_layout_to_sqd, sqd_to_sidb_layout, write_sqd
+The names below resolve on first use (see :mod:`repro._lazy`), so
+reading an ``.fgl`` file does not import the cell-level layouts the
+``.qca``/``.sqd`` writers need.
+"""
 
-__all__ = [
-    "FGL_VERSION",
-    "FglError",
-    "SqdError",
-    "cell_layout_to_qca",
-    "fgl_to_layout",
-    "fgl_to_layout_xml",
-    "layout_to_fgl",
-    "layout_to_fgl_reference",
-    "qca_to_cell_layout",
-    "read_qca",
-    "read_sqd",
-    "read_fgl",
-    "sidb_layout_to_sqd",
-    "sqd_to_sidb_layout",
-    "write_fgl",
-    "write_qca",
-    "write_sqd",
-]
+from .._lazy import lazy_namespace
+
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    ".fgl": (
+        "FGL_VERSION",
+        "FglError",
+        "fgl_to_layout",
+        "fgl_to_layout_xml",
+        "layout_to_fgl",
+        "layout_to_fgl_reference",
+        "read_fgl",
+        "write_fgl",
+    ),
+    ".qca": ("cell_layout_to_qca", "qca_to_cell_layout", "read_qca", "write_qca"),
+    ".sqd": ("SqdError", "read_sqd", "sidb_layout_to_sqd", "sqd_to_sidb_layout", "write_sqd"),
+})

@@ -1,68 +1,40 @@
-"""Gate-level layout substrate: grids, clocking, metrics, verification."""
+"""Gate-level layout substrate: grids, clocking, metrics, verification.
 
-from .coordinates import (
-    Tile,
-    Topology,
-    adjacent,
-    cartesian_neighbors,
-    grid_distance,
-    hex_distance,
-    hex_neighbors,
-    manhattan,
-    neighbors,
-)
-from .clocking import (
-    CARTESIAN_SCHEMES,
-    CFE,
-    ESR,
-    HEXAGONAL_SCHEMES,
-    OPEN,
-    RES,
-    ROW,
-    SCHEMES,
-    TWODDWAVE,
-    USE,
-    ClockingScheme,
-    get_scheme,
-)
-from .gate_layout import GateLayout, LayoutGate
-from .metrics import LayoutMetrics, compute_metrics, critical_path_length, throughput
-from .verification import DrcReport, check_layout
-from .equivalence import layout_equivalent, verify_layout
-from .svg import layout_to_svg, write_svg
+The names below resolve on first use (see :mod:`repro._lazy`), so a
+layout is built, checked and stored without importing the SVG writer.
+"""
 
-__all__ = [
-    "CARTESIAN_SCHEMES",
-    "CFE",
-    "ClockingScheme",
-    "DrcReport",
-    "ESR",
-    "GateLayout",
-    "HEXAGONAL_SCHEMES",
-    "LayoutGate",
-    "LayoutMetrics",
-    "OPEN",
-    "RES",
-    "ROW",
-    "SCHEMES",
-    "TWODDWAVE",
-    "Tile",
-    "Topology",
-    "USE",
-    "adjacent",
-    "cartesian_neighbors",
-    "check_layout",
-    "compute_metrics",
-    "critical_path_length",
-    "get_scheme",
-    "grid_distance",
-    "hex_distance",
-    "hex_neighbors",
-    "layout_equivalent",
-    "layout_to_svg",
-    "manhattan",
-    "neighbors",
-    "throughput",
-    "verify_layout",
-    "write_svg",
-]
+from .._lazy import lazy_namespace
+
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    ".coordinates": (
+        "Tile",
+        "Topology",
+        "adjacent",
+        "cartesian_neighbors",
+        "grid_distance",
+        "hex_distance",
+        "hex_neighbors",
+        "manhattan",
+        "neighbors",
+    ),
+    ".clocking": (
+        "CARTESIAN_SCHEMES",
+        "CFE",
+        "ESR",
+        "HEXAGONAL_SCHEMES",
+        "OPEN",
+        "RES",
+        "ROW",
+        "SCHEMES",
+        "TWODDWAVE",
+        "USE",
+        "ClockingScheme",
+        "get_scheme",
+    ),
+    ".gate_layout": ("GateLayout", "LayoutGate"),
+    ".metrics": ("LayoutMetrics", "compute_metrics", "critical_path_length", "throughput"),
+    ".verification": ("DrcReport", "check_layout"),
+    ".equivalence": ("layout_equivalent", "verify_layout"),
+    ".svg": ("layout_to_svg", "write_svg"),
+})

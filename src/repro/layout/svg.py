@@ -5,12 +5,17 @@ reproduces that view as standalone SVG files: one rounded square (or
 pointy-top hexagon) per tile, tinted by clock zone, labelled with the
 gate function, with fanin connections drawn as arrows and crossing-layer
 wires dashed.  The output opens in any browser and needs no JavaScript.
+
+Text is escaped with :func:`html.escape` (``quote=False``), which
+replaces the same ``&``, ``<`` and ``>`` as ``xml.sax.saxutils.escape``
+but, unlike it, does not import ``urllib.request`` and its HTTP, e-mail
+and SSL modules.
 """
 
 from __future__ import annotations
 
+from html import escape
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 from ..networks.logic_network import GateType
 from .coordinates import Tile, Topology
@@ -86,7 +91,7 @@ def layout_to_svg(layout: GateLayout, show_clock_zones: bool = True) -> str:
         'markerWidth="5" markerHeight="5" orient="auto-start-reverse">'
         '<path d="M 0 0 L 6 3 L 0 6 z" fill="#334155"/></marker></defs>',
         f'<rect width="100%" height="100%" fill="#f8fafc"/>',
-        f"<title>{escape(layout.name or 'layout')}</title>",
+        f"<title>{escape(layout.name or 'layout', quote=False)}</title>",
     ]
 
     # Background grid tinted by clock zone.
@@ -109,9 +114,9 @@ def layout_to_svg(layout: GateLayout, show_clock_zones: bool = True) -> str:
         elif gate.is_logic:
             fill = "#e2e8f0"
         parts.append(_tile_shape(layout, tile, fill))
-        label = escape(_LABELS.get(gate.gate_type, "?"))
+        label = escape(_LABELS.get(gate.gate_type, "?"), quote=False)
         if gate.name and (gate.is_pi or gate.is_po):
-            label = escape(gate.name)
+            label = escape(gate.name, quote=False)
         if label:
             cx, cy = _center(layout, tile)
             parts.append(

@@ -1,39 +1,27 @@
-"""Physical design algorithms: exact, ortho, NanoPlaceR, shared routing."""
+"""Physical design algorithms: exact, ortho, NanoPlaceR, shared routing.
 
-from .routing import RoutingOptions, find_path, route, unroute
-from .ortho import OrthoError, OrthoParams, OrthoResult, orthogonal_layout
-from .exact import (
-    ExactParams,
-    ExactResult,
-    ExactSearchStats,
-    area_lower_bound,
-    exact_layout,
-)
-from .parallel import parallel_exact_layout
-from .nanoplacer import (
-    NanoPlaceRParams,
-    NanoPlaceRResult,
-    NanoPlaceRScaleError,
-    nanoplacer_layout,
-)
+The names below resolve on first use (see :mod:`repro._lazy`): one
+engine does not import the others, nor ``multiprocessing`` for the
+parallel exact search.
+"""
 
-__all__ = [
-    "ExactParams",
-    "ExactResult",
-    "ExactSearchStats",
-    "NanoPlaceRParams",
-    "NanoPlaceRResult",
-    "NanoPlaceRScaleError",
-    "OrthoError",
-    "OrthoParams",
-    "OrthoResult",
-    "RoutingOptions",
-    "area_lower_bound",
-    "exact_layout",
-    "find_path",
-    "nanoplacer_layout",
-    "orthogonal_layout",
-    "parallel_exact_layout",
-    "route",
-    "unroute",
-]
+from .._lazy import lazy_namespace
+
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    ".routing": ("RoutingOptions", "find_path", "route", "unroute"),
+    ".ortho": ("OrthoError", "OrthoParams", "OrthoResult", "orthogonal_layout"),
+    ".exact": (
+        "ExactParams",
+        "ExactResult",
+        "ExactSearchStats",
+        "area_lower_bound",
+        "exact_layout",
+    ),
+    ".parallel": ("parallel_exact_layout",),
+    ".nanoplacer": (
+        "NanoPlaceRParams",
+        "NanoPlaceRResult",
+        "NanoPlaceRScaleError",
+        "nanoplacer_layout",
+    ),
+})

@@ -36,6 +36,11 @@ from dataclasses import dataclass, field
 from ..core.selection import AbstractionLevel, Selection
 from ..core.snapshot import SnapshotManager
 from ..core.store import ArtifactNotFoundError
+from ..gatelibs.apply import apply_gate_library
+from ..io.qca import cell_layout_to_qca
+from ..io.sqd import sidb_layout_to_sqd
+from ..layout.coordinates import Topology
+from ..optimization.hexagonalization import to_hexagonal
 from .http_utils import (
     GzipEncoder,
     LruCache,
@@ -399,12 +404,6 @@ class BenchService:
     def _cell_level(self, snapshot, record, entry, fmt, etag) -> Response:
         """``format=sqd``/``qca``: compile the gate-level artifact with
         its gate library; conversions are cached by content digest."""
-        from ..gatelibs.apply import apply_gate_library
-        from ..io.qca import cell_layout_to_qca
-        from ..io.sqd import sidb_layout_to_sqd
-        from ..layout import Topology
-        from ..optimization import to_hexagonal
-
         if record.abstraction_level is not AbstractionLevel.GATE_LEVEL:
             return _error(400, f"format={fmt} requires a gate-level artifact")
         library = record.gate_library or ""

@@ -147,6 +147,77 @@ def test_file_commands_report_malformed_fgl(tmp_path, capsys, command):
     assert main([command, str(tmp_path / "missing.fgl")]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--benchmark", "nosuch/x"],
+        ["generate", "--benchmark", "trindade16/mux21", "--benchmark", "nosuch/x"],
+        ["best", "nosuch/x"],
+        ["profile", "nosuch/x"],
+    ],
+)
+def test_unknown_benchmark_exits_2(tmp_path, capsys, argv):
+    database = tmp_path / "db"
+    if argv[0] == "generate":
+        argv = argv + ["--database", str(database)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"mnt-bench {argv[0]}: unknown benchmark 'nosuch/x'\n"
+    assert not database.exists()
+
+
+def test_unknown_suite_exits_2(tmp_path, capsys):
+    database = tmp_path / "db"
+    argv = ["generate", "--database", str(database), "--suite", "nosuch"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "mnt-bench generate: unknown suite 'nosuch'\n"
+    assert not database.exists()
+
+
+@pytest.mark.parametrize(
+    "command", ["query", "report", "info", "verify", "pack", "optimize", "serve"]
+)
+def test_read_verbs_need_an_existing_database(tmp_path, capsys, command):
+    missing = tmp_path / "mistyped"
+    assert main([command, "--database", str(missing)]) == 2
+    assert capsys.readouterr().err == f"mnt-bench {command}: no database at {missing}\n"
+    assert not missing.exists()
+    # An existing directory without a database is no database either,
+    # and stays empty.
+    missing.mkdir()
+    assert main([command, "--database", str(missing)]) == 2
+    assert list(missing.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--jobs", "0"],
+        ["generate", "--jobs", "-2"],
+        ["generate", "--exact-jobs", "0"],
+        ["generate", "--task-timeout", "-1"],
+        ["generate", "--task-timeout", "0"],
+        ["generate", "--task-memory-mb", "0"],
+        ["generate", "--jobs", "two"],
+        ["optimize", "--jobs", "0"],
+    ],
+)
+def test_non_positive_numeric_flags_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[1]}:" in capsys.readouterr().err
+
+
+def test_documented_zero_values_are_accepted():
+    args = build_parser().parse_args(
+        ["generate", "--node-cap", "0", "--max-tasks-per-worker", "0",
+         "--jobs", "2", "--task-timeout", "1.5", "--task-memory-mb", "512"]
+    )
+    assert (args.node_cap, args.max_tasks_per_worker) == (0, 0)
+    assert (args.jobs, args.task_timeout, args.task_memory_mb) == (2, 1.5, 512.0)
+
+
 def test_generate_progress_printer_tty():
     import io
 
@@ -225,14 +296,13 @@ def test_generate_profile_runs_in_worker_pool(tmp_path, capsys, monkeypatch):
     import json
     import re
 
-    import repro.cli as cli
-    from repro.core import GenerationParams
+    import repro.core as core
     from tests.scheduler.conftest import database_fingerprint
 
     # Exact search and NanoPlaceR are wall-clock driven; gate them off
     # so both runs are deterministic.
-    monkeypatch.setattr(cli, "GenerationParams", functools.partial(
-        GenerationParams, exact_max_elements=0, nanoplacer_max_gates=0))
+    monkeypatch.setattr(core, "GenerationParams", functools.partial(
+        core.GenerationParams, exact_max_elements=0, nanoplacer_max_gates=0))
     base = [
         "generate", "--benchmark", "trindade16/xor2", "--jobs", "2",
         "--reproducible", "--quiet",

@@ -2,7 +2,9 @@
 
 import xml.etree.ElementTree as ET
 
+from repro.layout import TWODDWAVE, GateLayout, Tile
 from repro.layout.svg import layout_to_svg, write_svg
+from repro.networks import GateType
 from repro.networks.library import full_adder, mux21
 from repro.optimization import to_hexagonal
 from repro.physical_design import orthogonal_layout
@@ -55,3 +57,25 @@ def test_write_svg(tmp_path, and_layout):
     path = tmp_path / "layout.svg"
     write_svg(layout, path)
     assert path.read_text().startswith("<svg")
+
+
+def test_markup_in_names_is_escaped_as_before(monkeypatch):
+    """Names with ``& < > " '`` render byte-identically to the
+    ``xml.sax.saxutils.escape`` the renderer used before."""
+    from xml.sax.saxutils import escape as sax_escape
+
+    import repro.layout.svg as svg_module
+
+    name = "a&<b>\"c'"
+    layout = GateLayout(3, 2, TWODDWAVE, name=f"layout {name}")
+    a = layout.create_pi(Tile(1, 0), name)
+    b = layout.create_pi(Tile(0, 1), "b<&>")
+    g = layout.create_gate(GateType.AND, Tile(1, 1), [a, b])
+    layout.create_po(Tile(2, 1), g, "'f'\"")
+    svg = layout_to_svg(layout)
+    assert ">a&amp;&lt;b&gt;\"c'</text>" in svg
+    assert "<title>layout a&amp;&lt;b&gt;\"c'</title>" in svg
+    ET.fromstring(svg)
+
+    monkeypatch.setattr(svg_module, "escape", lambda text, quote=False: sax_escape(text))
+    assert layout_to_svg(layout) == svg
