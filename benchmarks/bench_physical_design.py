@@ -51,14 +51,6 @@ RESULT_PATH = Path(__file__).parent.parent / "BENCH_physical_design.json"
 #: The acceptance floor on the exact flow's median speedup.
 REQUIRED_EXACT_SPEEDUP = 5.0
 
-#: Floor on the parallel portfolio engine's aggregate speedup at 4
-#: workers over the baseline (``optimized=False``) search on the
-#: USE/RES cases — the same baseline every "speedup" in this file is
-#: measured against.  The honest parallel-vs-sequential ratio is
-#: reported alongside (on a single-CPU host it hovers around 1x: the
-#: portfolio buys wall-clock only when cores exist to run it).
-REQUIRED_PARALLEL_SPEEDUP = 2.5
-
 _SCHEMES: dict[str, ClockingScheme] = {s.name: s for s in (TWODDWAVE, USE, RES)}
 
 #: Exact-flow cases: (scheme, suite, benchmark, per-case timeout seconds).
@@ -79,21 +71,6 @@ EXACT_CASES_QUICK = (
     ("2DDWave", "trindade16", "mux21", 30.0),
     ("2DDWave", "trindade16", "xor2", 30.0),
 )
-
-#: Parallel-portfolio cases: the USE/RES acceptance set.  Every case
-#: must yield a layout byte-identical to the sequential engine before
-#: any timing is recorded.
-PARALLEL_EXACT_CASES = (
-    ("USE", "trindade16", "mux21", 120.0),
-    ("USE", "trindade16", "xor2", 120.0),
-    ("RES", "trindade16", "mux21", 120.0),
-    ("RES", "trindade16", "xor2", 120.0),
-)
-PARALLEL_EXACT_CASES_QUICK = (
-    ("2DDWave", "trindade16", "mux21", 30.0),
-    ("2DDWave", "trindade16", "xor2", 30.0),
-)
-PARALLEL_EXACT_JOBS = (1, 2, 4)
 
 #: Ortho-flow cases (ortho is 2DDWave-only by construction).
 ORTHO_CASES = (
@@ -169,96 +146,6 @@ def bench_exact(quick: bool) -> dict:
     return {
         "cases": rows,
         "median_speedup": statistics.median(speedups) if speedups else None,
-    }
-
-
-def bench_exact_parallel(quick: bool) -> dict:
-    """Portfolio-parallel exact engine at 1/2/4 workers.
-
-    Per case: one sequential run (the determinism reference), one
-    baseline (``optimized=False``) run, then one timed parallel run per
-    worker count.  The byte-identical ``.fgl`` + equal-area oracle is
-    asserted for every parallel run *before* its timing enters a row.
-    """
-    import os
-
-    from repro.io.fgl import layout_to_fgl
-
-    cases = PARALLEL_EXACT_CASES_QUICK if quick else PARALLEL_EXACT_CASES
-    jobs_grid = PARALLEL_EXACT_JOBS[:2] if quick else PARALLEL_EXACT_JOBS
-    rows = []
-    for scheme_name, suite, name, timeout in cases:
-        scheme = _SCHEMES[scheme_name]
-        ntk = get_benchmark(suite, name).build()
-        common = dict(scheme=scheme, timeout=timeout, ratio_timeout=None)
-
-        started = time.perf_counter()
-        seq = exact_layout(ntk, ExactParams(engine="sequential", **common))
-        seq_seconds = time.perf_counter() - started
-        assert seq.layout is not None, f"{scheme_name}/{name}: sequential failed"
-        seq_fgl = layout_to_fgl(seq.layout)
-        seq_area = seq.layout.area()
-
-        started = time.perf_counter()
-        base = exact_layout(ntk, ExactParams(optimized=False, **common))
-        base_seconds = time.perf_counter() - started
-        assert base.layout is not None and base.layout.area() == seq_area, (
-            f"{scheme_name}/{name}: baseline area disagrees"
-        )
-
-        drc, equiv = verify_layout(seq.layout, ntk)
-        assert drc.ok and equiv.equivalent, f"{scheme_name}/{name}: bad layout"
-
-        per_jobs = {}
-        for jobs in jobs_grid:
-            started = time.perf_counter()
-            par = exact_layout(ntk, ExactParams(engine="parallel", jobs=jobs, **common))
-            par_seconds = time.perf_counter() - started
-            # The oracle gates the timing: a run that is not
-            # byte-identical to the sequential engine never reports one.
-            assert par.layout is not None, (
-                f"{scheme_name}/{name} jobs={jobs}: parallel failed"
-            )
-            assert par.layout.area() == seq_area, (
-                f"{scheme_name}/{name} jobs={jobs}: area "
-                f"{par.layout.area()} != sequential {seq_area}"
-            )
-            assert layout_to_fgl(par.layout) == seq_fgl, (
-                f"{scheme_name}/{name} jobs={jobs}: .fgl diverges from sequential"
-            )
-            per_jobs[str(jobs)] = {
-                "seconds": par_seconds,
-                "speedup_vs_sequential": seq_seconds / par_seconds
-                if par_seconds else None,
-                "speedup_vs_baseline": base_seconds / par_seconds
-                if par_seconds else None,
-                "byte_identical": True,
-                "equal_area": True,
-                "stats": par.stats.to_json() if par.stats else None,
-            }
-        rows.append(
-            {
-                "scheme": scheme_name,
-                "suite": suite,
-                "benchmark": name,
-                "area": seq_area,
-                "sequential_seconds": seq_seconds,
-                "baseline_seconds": base_seconds,
-                "jobs": per_jobs,
-            }
-        )
-    max_jobs = str(jobs_grid[-1])
-    total_base = sum(r["baseline_seconds"] for r in rows)
-    total_seq = sum(r["sequential_seconds"] for r in rows)
-    total_par = sum(r["jobs"][max_jobs]["seconds"] for r in rows)
-    return {
-        "cpus": os.cpu_count(),
-        "jobs_grid": list(jobs_grid),
-        "cases": rows,
-        "aggregate_speedup_vs_baseline": total_base / total_par
-        if total_par else None,
-        "aggregate_speedup_vs_sequential": total_seq / total_par
-        if total_par else None,
     }
 
 
@@ -342,7 +229,6 @@ def run_all(
     results = {
         "quick": quick,
         "exact": bench_exact(quick),
-        "exact_parallel": bench_exact_parallel(quick),
         "ortho": bench_ortho(quick),
         "nanoplacer": bench_nanoplacer(quick),
     }
@@ -366,18 +252,6 @@ def test_exact_flow_speedup(benchmark):
     for row in exact["cases"]:
         assert row["equal_area"], row
         assert row.get("drc_clean", True) and row.get("equivalent", True), row
-    parallel = results["exact_parallel"]
-    for row in parallel["cases"]:
-        for jobs, timing in row["jobs"].items():
-            assert timing["byte_identical"] and timing["equal_area"], (row, jobs)
-    if not results["quick"]:
-        assert (
-            parallel["aggregate_speedup_vs_baseline"] >= REQUIRED_PARALLEL_SPEEDUP
-        ), (
-            f"parallel exact at {parallel['jobs_grid'][-1]} workers only "
-            f"{parallel['aggregate_speedup_vs_baseline']:.1f}x over baseline "
-            f"(required {REQUIRED_PARALLEL_SPEEDUP}x)"
-        )
 
 
 def _print_section(title: str, section: dict, left: str, right: str) -> None:
@@ -399,20 +273,6 @@ if __name__ == "__main__":
         output = Path(sys.argv[sys.argv.index("--output") + 1])
     results = run_all(quick, output=output)
     _print_section("exact", results["exact"], "optimized_seconds", "baseline_seconds")
-    parallel = results["exact_parallel"]
-    print(f"exact_parallel ({parallel['cpus']} cpu(s)):")
-    for row in parallel["cases"]:
-        label = f"{row['scheme']}/{row['benchmark']}"
-        timings = ", ".join(
-            f"{jobs}w {t['seconds']:.2f}s ({t['speedup_vs_baseline']:.1f}x base)"
-            for jobs, t in row["jobs"].items()
-        )
-        print(f"  {label:24s} seq {row['sequential_seconds']:.2f}s — {timings}")
-    print(
-        f"  aggregate at {parallel['jobs_grid'][-1]} workers: "
-        f"{parallel['aggregate_speedup_vs_baseline']:.1f}x vs baseline, "
-        f"{parallel['aggregate_speedup_vs_sequential']:.2f}x vs sequential"
-    )
     _print_section("ortho", results["ortho"], "fast_seconds", "reference_seconds")
     _print_section(
         "nanoplacer", results["nanoplacer"], "fast_seconds", "reference_seconds"

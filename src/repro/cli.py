@@ -51,37 +51,55 @@ def _cmd_list(args) -> int:
     return 0
 
 
-def _benchmark(command: str, token: str):
-    """The registered benchmark ``SUITE/NAME``: ``None`` (after a
-    one-line message) when there is none."""
+class _UsageError(Exception):
+    """A bad command-line value: ``main`` prints it as one line and
+    exits 2."""
+
+
+def _benchmark(token: str):
+    """The registered benchmark ``SUITE/NAME``."""
     from .benchsuite import get_benchmark
 
     suite, _, name = token.partition("/")
     try:
         return get_benchmark(suite, name)
     except KeyError:
-        print(f"mnt-bench {command}: unknown benchmark {token!r}", file=sys.stderr)
-        return None
+        raise _UsageError(f"unknown benchmark {token!r}") from None
 
 
-def _specs_from(args):
-    """The benchmarks ``generate`` runs: ``None`` (after a one-line
-    message) when a ``--benchmark`` or ``--suite`` names none."""
-    from .benchsuite import all_benchmarks, benchmarks_of
+def _filters(args):
+    """The ``--benchmark SUITE/NAME``, ``--suite`` and ``--library``
+    filters, with every benchmark and suite checked against the registry.
 
-    if args.benchmark:
-        specs = [_benchmark("generate", token) for token in args.benchmark]
-        return None if None in specs else specs
+    Returns ``(specs, selection)``: the named benchmarks, else the named
+    suites' benchmarks (what ``generate`` runs), and the same filter as
+    a :class:`~repro.core.Selection` over a stored database (``None``
+    when nothing filters).
+    """
+    from .core import Selection
+
+    named = [_benchmark(token) for token in args.benchmark or ()]
+    in_suites = []
     if args.suite:
-        specs = []
+        from .benchsuite import benchmarks_of
+
         for suite in args.suite:
             found = benchmarks_of(suite)
             if not found:
-                print(f"mnt-bench generate: unknown suite {suite!r}", file=sys.stderr)
-                return None
-            specs += found
-        return specs
-    return [s for s in all_benchmarks() if s.suite in ("trindade16", "fontes18")]
+                raise _UsageError(f"unknown suite {suite!r}")
+            in_suites += found
+    suites = [*(args.suite or ()), *(spec.suite for spec in named)]
+    names = [spec.name for spec in named]
+    libraries = getattr(args, "library", None) or ()
+    selection = None
+    if suites or names or libraries:
+        try:
+            selection = Selection.make(
+                suites=suites, names=names, gate_libraries=libraries
+            )
+        except ValueError as exc:
+            raise _UsageError(exc) from None
+    return named or in_suites, selection
 
 
 def _format_eta(seconds: float) -> str:
@@ -147,12 +165,13 @@ class _GenerateProgress:
 
 
 def _cmd_generate(args) -> int:
+    from .benchsuite import all_benchmarks
     from .core import BenchmarkDatabase, GenerationParams
     from .scheduler import SchedulerParams
 
-    specs = _specs_from(args)
-    if specs is None:
-        return 2
+    specs, _ = _filters(args)
+    if not specs:
+        specs = [s for s in all_benchmarks() if s.suite in ("trindade16", "fontes18")]
     db = BenchmarkDatabase(args.database)
     params = GenerationParams(
         node_cap=args.node_cap if args.node_cap > 0 else None,
@@ -162,7 +181,6 @@ def _cmd_generate(args) -> int:
         plo_passes=args.plo_passes,
         plo_timeout=args.plo_timeout,
         jobs=args.jobs,
-        exact_jobs=args.exact_jobs,
         use_cache=not args.no_cache,
         profile=args.profile,
         profile_top=args.profile_top,
@@ -211,27 +229,17 @@ def _cmd_generate(args) -> int:
         print(
             "exact search: "
             f"{ex.get('dimensions_explored', 0)} dimensions explored, "
-            f"{ex.get('dimensions_pruned', 0)} pruned, "
-            f"{ex.get('dimensions_killed', 0)} killed, "
-            f"{ex.get('incumbent_updates', 0)} incumbent updates "
-            f"[engine {ex.get('engine', 'sequential')}, "
-            f"jobs {ex.get('jobs', 1)}]"
+            f"{ex.get('incumbent_updates', 0)} incumbent updates"
         )
     print(report.summary())
     return 0
 
 
 def _cmd_optimize(args) -> int:
-    from .core import BenchmarkDatabase, GenerationParams, Selection
+    from .core import BenchmarkDatabase, GenerationParams
 
+    _, selection = _filters(args)
     db = BenchmarkDatabase(args.database)
-    suites = list(args.suite or [])
-    names = []
-    for token in args.benchmark or []:
-        suite, _, name = token.partition("/")
-        suites.append(suite)
-        names.append(name)
-    selection = Selection.make(suites=suites, names=names) if suites or names else None
     params = GenerationParams(
         plo_passes=args.plo_passes,
         plo_timeout=args.plo_timeout,
@@ -263,8 +271,7 @@ def _cmd_query(args) -> int:
             best_only=args.best,
         )
     except ValueError as exc:
-        print(f"mnt-bench query: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(exc) from None
     hits = db.query(selection)
     if args.json:
         payload = {
@@ -306,29 +313,12 @@ def _cmd_pack(args) -> int:
     return 0
 
 
-def _selection_from_filters(args):
-    from .core import Selection
-
-    suites = list(args.suite or [])
-    names = []
-    for token in args.benchmark or []:
-        suite, _, name = token.partition("/")
-        suites.append(suite)
-        names.append(name)
-    if not (suites or names or args.library):
-        return None
-    return Selection.make(
-        suites=suites, names=names, gate_libraries=args.library or ()
-    )
-
-
 def _cmd_report(args) -> int:
     from .core import BenchmarkDatabase
 
+    _, selection = _filters(args)
     db = BenchmarkDatabase(args.database)
-    report = db.report(
-        _selection_from_filters(args), engine=args.engine, backend=args.backend
-    )
+    report = db.report(selection, engine=args.engine, backend=args.backend)
     text = report.render(args.format)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -377,10 +367,9 @@ def _cmd_info(args) -> int:
 def _cmd_verify(args) -> int:
     from .core import BenchmarkDatabase
 
+    _, selection = _filters(args)
     db = BenchmarkDatabase(args.database)
-    summary = db.verify_all(
-        _selection_from_filters(args), engine=args.engine, backend=args.backend
-    )
+    summary = db.verify_all(selection, engine=args.engine, backend=args.backend)
     for record in summary.records:
         if record.status != "ok" or args.verbose:
             print(
@@ -394,9 +383,7 @@ def _cmd_verify(args) -> int:
 def _cmd_best(args) -> int:
     from .core import BestParams, format_table, table_row
 
-    spec = _benchmark("best", args.benchmark)
-    if spec is None:
-        return 2
+    spec = _benchmark(args.benchmark)
     params = BestParams(exact_timeout=args.exact_timeout)
     row, result = table_row(spec, args.library, params, node_cap=args.node_cap)
     print(format_table([row], args.library))
@@ -408,24 +395,21 @@ def _cmd_best(args) -> int:
     return 0
 
 
-def _read_layout_file(command: str, path):
-    """``read_fgl`` for the file commands: ``None`` (after a one-line
-    message) when the file is missing or malformed."""
+def _read_layout_file(path):
+    """``read_fgl`` for the file commands; a missing or malformed file
+    is a usage error."""
     from .io import FglError, read_fgl
 
     try:
         return read_fgl(path)
     except (OSError, FglError) as exc:
-        print(f"mnt-bench {command}: {path}: {exc}", file=sys.stderr)
-        return None
+        raise _UsageError(f"{path}: {exc}") from None
 
 
 def _cmd_show(args) -> int:
     from .layout import compute_metrics
 
-    layout = _read_layout_file("show", args.file)
-    if layout is None:
-        return 2
+    layout = _read_layout_file(args.file)
     print(layout)
     print(compute_metrics(layout))
     print(layout.render())
@@ -435,9 +419,7 @@ def _cmd_show(args) -> int:
 def _cmd_svg(args) -> int:
     from .layout import write_svg
 
-    layout = _read_layout_file("svg", args.file)
-    if layout is None:
-        return 2
+    layout = _read_layout_file(args.file)
     output = args.output or str(Path(args.file).with_suffix(".svg"))
     write_svg(layout, output)
     print(f"rendered {args.file} -> {output}")
@@ -499,9 +481,7 @@ def _cmd_serve(args) -> int:
 def _cmd_profile(args) -> int:
     from .networks import format_profile
 
-    spec = _benchmark("profile", args.benchmark)
-    if spec is None:
-        return 2
+    spec = _benchmark(args.benchmark)
     network = spec.build(args.node_cap)
     print(format_profile(network))
     return 0
@@ -571,12 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "--jobs", type=_positive(int), default=1,
         help="worker processes for flow execution (1: in-process)",
-    )
-    gen.add_argument(
-        "--exact-jobs", type=_positive(int), default=1, metavar="N",
-        help="intra-task workers per exact search (portfolio parallel "
-        "engine with a shared incumbent bound; 1: sequential engine); "
-        "clamped against --jobs to avoid oversubscription",
     )
     gen.add_argument(
         "--no-cache", action="store_true",
@@ -798,7 +772,11 @@ def main(argv=None) -> int:
         "serve": _cmd_serve,
         "fuzz": _cmd_fuzz,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except _UsageError as exc:
+        print(f"mnt-bench {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

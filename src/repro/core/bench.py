@@ -151,10 +151,9 @@ class GenerationParams:
     verify_vectors: int = 64
     #: Worker processes for flow execution; 1 runs everything in-process.
     jobs: int = 1
-    #: Intra-task workers for each exact search (portfolio parallel
-    #: engine); 1 keeps the retained sequential engine.  Part of the
-    #: cache key even though results are byte-identical across values —
-    #: the recorded exact-search stats differ.
+    #: Compatibility field: accepts only 1 (the exact search is
+    #: sequential; flows run in parallel through ``jobs``).  It stays in
+    #: the cache key so that existing flow caches keep hitting.
     exact_jobs: int = 1
     #: Reuse flow results recorded in the index's flow cache.
     use_cache: bool = True
@@ -176,6 +175,13 @@ class GenerationParams:
     #: Zero all recorded runtimes so identical inputs produce
     #: byte-identical databases (crash/resume identity tests).
     reproducible: bool = False
+
+    def __post_init__(self) -> None:
+        if self.exact_jobs != 1:
+            raise ValueError(
+                f"exact_jobs must be 1, got {self.exact_jobs!r}: the exact "
+                "search is sequential; use jobs for parallel flows"
+            )
 
     def cache_fields(self) -> dict:
         """The parameter subset that affects flow *results* (not how or
@@ -245,13 +251,6 @@ class GenerationReport:
             extras.append(f"{self.cancelled} cancelled as dominated")
         if self.worker_errors:
             extras.append(f"{self.worker_errors} worker errors")
-        if self.exact_search:
-            pruned = self.exact_search.get("dimensions_pruned", 0)
-            killed = self.exact_search.get("dimensions_killed", 0)
-            if pruned or killed:
-                extras.append(
-                    f"{pruned} exact dimensions pruned, {killed} killed"
-                )
         if extras:
             text += "; " + ", ".join(extras)
         return text
@@ -335,20 +334,6 @@ def _failure_counter(status: str) -> str:
     }.get(status, "worker_errors")
 
 
-def _effective_exact_jobs(params: GenerationParams) -> int:
-    """Intra-task exact workers after the anti-oversubscription clamp.
-
-    ``--exact-jobs`` composes with ``--jobs`` multiplicatively (each of
-    the ``jobs`` flow workers may fork ``exact_jobs`` children), so when
-    both exceed 1 the product is capped at the machine's CPU count.
-    """
-    exact_jobs = max(1, params.exact_jobs)
-    if exact_jobs > 1 and params.jobs > 1:
-        cpus = os.cpu_count() or 1
-        exact_jobs = max(1, min(exact_jobs, cpus // max(1, params.jobs)))
-    return exact_jobs
-
-
 def _run_flow(network: LogicNetwork, flow: str, params: GenerationParams,
               stats_sink: list | None = None):
     """Produce the raw (layout, algorithm, scheme, opts, runtime) tuples
@@ -409,7 +394,6 @@ def _run_flow(network: LogicNetwork, flow: str, params: GenerationParams,
                 scheme=scheme,
                 timeout=params.exact_timeout,
                 ratio_timeout=params.exact_ratio_timeout,
-                jobs=_effective_exact_jobs(params),
             ),
         )
         if stats_sink is not None and result.stats is not None:
@@ -426,7 +410,6 @@ def _run_flow(network: LogicNetwork, flow: str, params: GenerationParams,
                 timeout=params.exact_timeout,
                 ratio_timeout=params.exact_ratio_timeout,
                 keep_two_input=True,
-                jobs=_effective_exact_jobs(params),
             ),
         )
         if stats_sink is not None and result.stats is not None:

@@ -12,8 +12,8 @@ are implemented here with the zone assignments used by *fiction*:
   feedback loops.
 * **ROW**: row-based clocking, ``zone(x, y) = y mod 4`` — the scheme the
   Bestagon gate library targets on hexagonal grids.
-* **OPEN**: no predefined zones; tiles are clocked individually (used by
-  exact physical design when exploring irregular clockings).
+* **OPEN**: no predefined zones; tiles are clocked individually and the
+  zones are stored in the layout (the exact search does not support it).
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """Physical design algorithms: exact, ortho, NanoPlaceR, shared routing.
 
 The names below resolve on first use (see :mod:`repro._lazy`): one
-engine does not import the others, nor ``multiprocessing`` for the
-parallel exact search.
+engine does not import the others.
 """
 
 from .._lazy import lazy_namespace
@@ -17,7 +16,6 @@ __all__, __getattr__, __dir__ = lazy_namespace(__name__, {
         "area_lower_bound",
         "exact_layout",
     ),
-    ".parallel": ("parallel_exact_layout",),
     ".nanoplacer": (
         "NanoPlaceRParams",
         "NanoPlaceRResult",

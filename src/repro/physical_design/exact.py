@@ -14,8 +14,10 @@ Defining properties preserved from the paper:
 * layouts are **area-minimal over the explored search space** — the
   first aspect ratio that admits a complete placement is returned, and
   ratios are visited in ascending area order;
-* arbitrary clocking schemes are supported (2DDWave, USE, RES, ESR, ROW
-  and OPEN), with I/O pads restricted to the layout border;
+* the regular clocking schemes are supported (2DDWave, USE, RES, ESR
+  and ROW), with I/O pads restricted to the layout border.  The search
+  never assigns clock zones, so on an irregular scheme (OPEN) no wire
+  step is admissible and :func:`exact_layout` refuses it up front;
 * runtime explodes with instance size, so a **timeout** aborts the
   search — exactly the regime Table I shows, where `exact` entries stop
   at a few dozen nodes and heuristics take over beyond that.
@@ -47,7 +49,6 @@ behaviour on a ``GateLayout`` and serves as the benchmark baseline.
 from __future__ import annotations
 
 import functools
-import os
 import random
 import time
 from dataclasses import dataclass, field, fields
@@ -102,13 +103,6 @@ class ExactParams:
     #: the original search on a ``GateLayout`` as a benchmark baseline.
     optimized: bool = True
     routing: RoutingOptions = field(default_factory=lambda: RoutingOptions(crossing_penalty=1))
-    #: Search engine: ``"sequential"`` runs the retained single-process
-    #: engine, ``"parallel"`` the fork-pool portfolio engine
-    #: (:mod:`repro.physical_design.parallel`), and ``"auto"`` picks the
-    #: parallel engine exactly when ``jobs > 1``.
-    engine: str = "auto"
-    #: Worker processes for the parallel engine (1 = sequential).
-    jobs: int = 1
 
 
 @dataclass
@@ -117,24 +111,15 @@ class ExactSearchStats:
 
     ``dimensions_total`` counts the aspect ratios that survive the area
     lower bound; ``dimensions_filtered`` the ones additionally removed
-    by the static per-scheme capacity bound (:func:`_ratio_feasible`);
-    ``dimensions_pruned``/``dimensions_killed`` the speculative parallel
-    subtasks cancelled before dispatch / SIGKILLed mid-search once an
-    incumbent dominated them.  ``budget_kills`` counts subtasks that
-    died on the inherited RLIMIT_AS memory budget.
+    by the static per-scheme capacity bound (:func:`_ratio_feasible`).
+    ``from_json`` drops keys it does not know, so stats written by older
+    versions (with their parallel-engine counters) still load.
     """
 
-    engine: str = "sequential"
-    jobs: int = 1
     dimensions_total: int = 0
     dimensions_filtered: int = 0
     dimensions_explored: int = 0
-    dimensions_pruned: int = 0
-    dimensions_killed: int = 0
     incumbent_updates: int = 0
-    subtask_retries: int = 0
-    subtask_failures: int = 0
-    budget_kills: int = 0
 
     def to_json(self) -> dict:
         return dict(vars(self))
@@ -145,12 +130,12 @@ class ExactSearchStats:
         return cls(**{k: v for k, v in data.items() if k in known})
 
     def merge(self, other: "ExactSearchStats | dict") -> None:
-        """Accumulate another run's counters (engines/jobs keep ours)."""
+        """Accumulate another run's counters."""
         values = other if isinstance(other, dict) else other.to_json()
-        for key, value in values.items():
-            if key in ("engine", "jobs") or not isinstance(value, int):
-                continue
-            setattr(self, key, getattr(self, key, 0) + value)
+        for f in fields(self):
+            value = values.get(f.name)
+            if isinstance(value, int):
+                setattr(self, f.name, getattr(self, f.name) + value)
 
 
 @dataclass
@@ -170,10 +155,6 @@ class ExactResult:
 
 class _Timeout(Exception):
     pass
-
-
-class _Dominated(Exception):
-    """A parallel subtask's ratio is dominated by the shared incumbent."""
 
 
 @dataclass(frozen=True)
@@ -369,36 +350,22 @@ def exact_layout(network: LogicNetwork, params: ExactParams | None = None) -> Ex
     Returns a result with ``layout=None`` when the search space is
     exhausted without success or the timeout strikes first (callers —
     e.g. the best-layout portfolio — treat both as "exact unavailable").
-
-    ``params.engine`` selects the sequential engine or the fork-pool
-    parallel portfolio engine; both return byte-identical layouts when
-    no timeout strikes (see :mod:`repro.physical_design.parallel`).
+    Raises ``ValueError`` for an irregular clocking scheme, on which the
+    search could only burn its timeout (see the module docstring).
     """
     params = params or ExactParams()
-    if params.engine not in ("auto", "sequential", "parallel"):
+    if not params.scheme.regular:
         raise ValueError(
-            f"unknown exact engine {params.engine!r}; "
-            "expected 'auto', 'sequential' or 'parallel'"
+            f"exact_layout needs a regular clocking scheme, got {params.scheme.name!r}"
         )
-    if params.engine == "parallel" or (params.engine == "auto" and params.jobs > 1):
-        from .parallel import parallel_exact_layout
+    started = time.monotonic()
+    deadline = started + params.timeout
 
-        return parallel_exact_layout(network, params)
-    return _sequential_exact_layout(network, params)
-
-
-def _prepare_search(network: LogicNetwork, params: ExactParams):
-    """Shared preparation: prepared network, element order, ratio list.
-
-    Returns ``(ntk, elements, ratios, filtered)`` where ``ratios`` is
-    the canonical ascending-area dimension list both engines walk and
-    ``filtered`` counts ratios removed by the static per-scheme bound.
-    """
     ntk = prepare_for_layout(decompose_to_aoig(network, params.keep_two_input))
     elements = _search_order(ntk)
     ratios = _aspect_ratios(params, len(elements))
     filtered = 0
-    if params.optimized and params.scheme.regular:
+    if params.optimized:
         profile = _network_profile(ntk, elements)
         kept = [
             (w, h)
@@ -407,20 +374,8 @@ def _prepare_search(network: LogicNetwork, params: ExactParams):
         ]
         filtered = len(ratios) - len(kept)
         ratios = kept
-    return ntk, elements, ratios, filtered
-
-
-def _sequential_exact_layout(network: LogicNetwork, params: ExactParams) -> ExactResult:
-    """The retained single-process engine (``ExactParams(engine="sequential")``)."""
-    started = time.monotonic()
-    deadline = started + params.timeout
-
-    ntk, elements, ratios, filtered = _prepare_search(network, params)
     stats = ExactSearchStats(
-        engine="sequential",
-        jobs=1,
-        dimensions_total=len(ratios) + filtered,
-        dimensions_filtered=filtered,
+        dimensions_total=len(ratios) + filtered, dimensions_filtered=filtered
     )
 
     timed_out = False
@@ -676,14 +631,10 @@ class _Searcher:
         height: int,
         params: ExactParams,
         deadline: float,
-        *,
-        incumbent=None,
-        ratio_index: int = 0,
-        parent_pid: int | None = None,
     ):
         self.ntk = ntk
         self.elements = elements
-        self.optimized = params.optimized and params.scheme.regular
+        self.optimized = params.optimized
         if self.optimized:
             layout = _SearchState(width, height, params.scheme, params.topology)
         else:
@@ -691,13 +642,6 @@ class _Searcher:
         self.layout = layout
         self.params = params
         self.deadline = deadline
-        #: Shared-memory incumbent (multiprocessing.Value holding the
-        #: best feasible canonical ratio index).  Polled alongside the
-        #: deadline so a parallel subtask aborts the moment a smaller
-        #: ratio proves feasible anywhere in the pool.
-        self._incumbent = incumbent
-        self._ratio_index = ratio_index
-        self._parent_pid = parent_pid
         self.position: dict[int, Tile] = {}
         self.routing = RoutingOptions(
             allow_crossings=params.routing.allow_crossings,
@@ -804,18 +748,8 @@ class _Searcher:
 
     def _check_time(self) -> None:
         self._tick += 1
-        if self._tick % 64 == 0:
-            if time.monotonic() > self.deadline:
-                raise _Timeout
-            incumbent = self._incumbent
-            if incumbent is not None:
-                if incumbent.value < self._ratio_index:
-                    raise _Dominated
-                if self._parent_pid is not None and self._tick % 4096 == 0:
-                    # Orphan guard: the scheduler may SIGKILL the parent
-                    # flow worker mid-search; exit rather than spin on.
-                    if os.getppid() != self._parent_pid:
-                        os._exit(1)
+        if self._tick % 64 == 0 and time.monotonic() > self.deadline:
+            raise _Timeout
 
     def _free_tiles_needed(self, depth: int) -> bool:
         """Prune: every unplaced element needs at least one free tile."""

@@ -17,7 +17,6 @@ from .config import (
     DIFF_ANALYTICS,
     DIFF_ENGINES,
     DIFF_EXACT,
-    DIFF_EXACT_PARALLEL,
     DIFF_PLO,
     DIFF_SERVE,
     EXACT_SCHEMES,
@@ -39,7 +38,6 @@ from .oracles import (
     check_analytics_agreement,
     check_engine_agreement,
     check_exact_baseline,
-    check_exact_parallel,
     check_plo_agreement,
     check_serve_agreement,
     run_oracle_stack,
@@ -53,7 +51,6 @@ __all__ = [
     "DIFF_ANALYTICS",
     "DIFF_ENGINES",
     "DIFF_EXACT",
-    "DIFF_EXACT_PARALLEL",
     "DIFF_PLO",
     "DIFF_SERVE",
     "EXACT_SCHEMES",
@@ -75,7 +72,6 @@ __all__ = [
     "check_analytics_agreement",
     "check_engine_agreement",
     "check_exact_baseline",
-    "check_exact_parallel",
     "check_plo_agreement",
     "check_serve_agreement",
     "fuzz",

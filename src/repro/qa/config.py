@@ -48,7 +48,6 @@ DIFF_EXACT = "exact-baseline"  # optimized vs. baseline exact search
 DIFF_PLO = "optimization"  # incremental vs. reference post-layout optimization
 DIFF_ANALYTICS = "analytics"  # columnar vs. per-artifact metrics/DRC/signature
 DIFF_SERVE = "serve"  # HTTP endpoints vs. in-process serving API
-DIFF_EXACT_PARALLEL = "exact-parallel"  # parallel vs. sequential exact engine
 DIFF_SPARSE = "sparse"  # sparse occupied-tile fast paths vs. dense references
 
 
@@ -83,8 +82,6 @@ class FlowConfig:
     #: Seed for stochastic algorithms (NanoPlaceR rollouts).
     algorithm_seed: int = 0
     exact_timeout: float = 4.0
-    #: Intra-search workers for the exact engine (1: sequential).
-    exact_jobs: int = 1
 
     def describe(self) -> str:
         opts = "+".join(self.optimizations) if self.optimizations else "-"
@@ -108,7 +105,6 @@ class FlowConfig:
             "differential": self.differential,
             "algorithm_seed": self.algorithm_seed,
             "exact_timeout": self.exact_timeout,
-            "exact_jobs": self.exact_jobs,
         }
 
     @staticmethod
@@ -126,7 +122,6 @@ class FlowConfig:
             differential=record.get("differential"),
             algorithm_seed=record.get("algorithm_seed", 0),
             exact_timeout=record.get("exact_timeout", 4.0),
-            exact_jobs=record.get("exact_jobs", 1),
         )
 
     # -- execution ----------------------------------------------------------
@@ -171,7 +166,6 @@ class FlowConfig:
                 timeout=self.exact_timeout,
                 optimized=self.exact_optimized,
                 routing=self._routing(crossing_penalty=1),
-                jobs=self.exact_jobs,
             )
             result = exact_layout(network, params)
             if result.layout is None:
@@ -243,15 +237,14 @@ def _sample_exact(rng: random.Random) -> FlowConfig:
         differential = DIFF_EXACT if rng.random() < 0.6 else DIFF_ENGINES
     else:
         # One shared roll keeps the draw count (and thus every seeded
-        # stream) identical to the pre-serve sampler.
+        # stream) identical to the pre-serve sampler.  [0.30, 0.40) runs
+        # no differential, so the flows of every seed stay unchanged.
         roll = rng.random()
         if roll < 0.25:
             differential = DIFF_ANALYTICS
         elif roll < 0.30:
             differential = DIFF_SERVE
-        elif roll < 0.40:
-            differential = DIFF_EXACT_PARALLEL
-        elif roll < 0.48:
+        elif 0.40 <= roll < 0.48:
             differential = DIFF_SPARSE
     optimizations: tuple[str, ...] = ()
     library = "Bestagon" if hexagonal else "QCA ONE"

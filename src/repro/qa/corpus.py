@@ -26,7 +26,6 @@ from .oracles import (
     check_analytics_agreement,
     check_engine_agreement,
     check_exact_baseline,
-    check_exact_parallel,
     check_serve_agreement,
     check_sparse_agreement,
     run_oracle_stack,
@@ -106,8 +105,6 @@ def replay_case(case: CrashCase) -> OracleFailure | None:
             return check_engine_agreement(network, flow)
         if case.oracle == "exact_area":
             return check_exact_baseline(network, flow)
-        if case.oracle == "exact_parallel":
-            return check_exact_parallel(network, flow)
         if case.oracle == "analytics_agreement":
             return check_analytics_agreement(network, flow)
         if case.oracle == "serve_agreement":

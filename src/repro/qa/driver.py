@@ -21,7 +21,6 @@ from .config import (
     DIFF_ANALYTICS,
     DIFF_ENGINES,
     DIFF_EXACT,
-    DIFF_EXACT_PARALLEL,
     DIFF_PLO,
     DIFF_SERVE,
     DIFF_SPARSE,
@@ -36,7 +35,6 @@ from .oracles import (
     check_analytics_agreement,
     check_engine_agreement,
     check_exact_baseline,
-    check_exact_parallel,
     check_plo_agreement,
     check_serve_agreement,
     check_sparse_agreement,
@@ -142,10 +140,6 @@ def fuzz_one(
             failure = check_exact_baseline(network, flow)
             if failure is not None:
                 return flow, spec, network, failure, None
-        if flow.differential == DIFF_EXACT_PARALLEL:
-            failure = check_exact_parallel(network, flow)
-            if failure is not None:
-                return flow, spec, network, failure, None
         if flow.differential == DIFF_PLO:
             failure = check_plo_agreement(network, flow)
             if failure is not None:
@@ -184,8 +178,6 @@ def _still_fails(flow: FlowConfig, oracle: str, num_vectors: int):
                 return check_engine_agreement(network, flow) is not None
             if oracle == "exact_area":
                 return check_exact_baseline(network, flow) is not None
-            if oracle == "exact_parallel":
-                return check_exact_parallel(network, flow) is not None
             if oracle == "plo_agreement":
                 return check_plo_agreement(network, flow) is not None
             if oracle == "analytics_agreement":

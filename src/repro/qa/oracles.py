@@ -18,11 +18,6 @@ Each oracle inspects one invariant the benchmark database relies on:
   bit-identical layouts for the same flow (differential runs only);
 * ``exact_area`` — the optimized and baseline exact searches agree on
   the minimal area (differential runs only);
-* ``exact_parallel`` — the portfolio-parallel exact engine
-  (:func:`repro.physical_design.parallel.parallel_exact_layout`)
-  produces a byte-identical ``.fgl`` layout with equal area to the
-  retained sequential engine for the same flow (differential runs
-  only);
 * ``plo_agreement`` — the incremental and reference post-layout
   optimization engines produce identical layouts with equal cost
   tuples for the same flow (differential runs only);
@@ -78,7 +73,6 @@ ORACLE_NAMES = (
     "cell_level",
     "engine_agreement",
     "exact_area",
-    "exact_parallel",
     "plo_agreement",
     "analytics_agreement",
     "serve_agreement",
@@ -253,39 +247,6 @@ def check_exact_baseline(network: LogicNetwork, flow) -> OracleFailure | None:
             "exact_area",
             f"optimized search found area {optimized.area()}, "
             f"baseline found {baseline.area()}",
-        )
-    return None
-
-
-def check_exact_parallel(network: LogicNetwork, flow) -> OracleFailure | None:
-    """Parallel and sequential exact engines must agree byte-for-byte.
-
-    The portfolio-parallel engine promises determinism: the returned
-    layout is the exact layout the sequential engine finds, not merely
-    one of equal area.  Optimisation passes are stripped so the
-    comparison targets the raw search result; ``FlowSkipped`` (budget
-    exhaustion) is inconclusive, not a disagreement.
-    """
-    from .config import FlowSkipped
-
-    seq_flow = replace(flow, exact_jobs=1, differential=None, optimizations=())
-    par_flow = replace(flow, exact_jobs=2, differential=None, optimizations=())
-    try:
-        sequential = seq_flow.run(network)
-        parallel = par_flow.run(network)
-    except FlowSkipped:
-        return None
-    if parallel.area() != sequential.area():
-        return OracleFailure(
-            "exact_parallel",
-            f"parallel engine found area {parallel.area()}, "
-            f"sequential found {sequential.area()}",
-        )
-    if layout_to_fgl(parallel) != layout_to_fgl(sequential):
-        diff = parallel.structural_diff(sequential)
-        return OracleFailure(
-            "exact_parallel",
-            f"parallel and sequential engines diverge: {diff or 'byte-level .fgl mismatch'}",
         )
     return None
 

@@ -174,6 +174,38 @@ def test_unknown_suite_exits_2(tmp_path, capsys):
     assert not database.exists()
 
 
+@pytest.mark.parametrize("command", ["optimize", "report", "verify"])
+@pytest.mark.parametrize(
+    ("flag", "value", "kind"),
+    [
+        ("--benchmark", "nosuch/x", "benchmark"),
+        ("--benchmark", "trindade16/nosuch", "benchmark"),
+        ("--suite", "nosuch", "suite"),
+    ],
+)
+def test_stored_database_verbs_check_filter_names(
+    tmp_path, capsys, command, flag, value, kind
+):
+    _fabricated_db(tmp_path)
+    index = (tmp_path / "index.json").read_bytes()
+    assert main([command, "--database", str(tmp_path), flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"mnt-bench {command}: unknown {kind} {value!r}\n"
+    assert captured.out == ""
+    assert (tmp_path / "index.json").read_bytes() == index
+
+
+def test_report_filters_by_known_benchmark(tmp_path, capsys):
+    _fabricated_db(tmp_path)
+    argv = ["report", "--database", str(tmp_path), "--format", "json"]
+    assert main(argv + ["--benchmark", "trindade16/mux21"]) == 0
+    selected = capsys.readouterr().out
+    assert main(argv) == 0
+    assert selected == capsys.readouterr().out
+    assert main(argv + ["--benchmark", "trindade16/xor2"]) == 0
+    assert capsys.readouterr().out != selected
+
+
 @pytest.mark.parametrize(
     "command", ["query", "report", "info", "verify", "pack", "optimize", "serve"]
 )
@@ -194,7 +226,6 @@ def test_read_verbs_need_an_existing_database(tmp_path, capsys, command):
     [
         ["generate", "--jobs", "0"],
         ["generate", "--jobs", "-2"],
-        ["generate", "--exact-jobs", "0"],
         ["generate", "--task-timeout", "-1"],
         ["generate", "--task-timeout", "0"],
         ["generate", "--task-memory-mb", "0"],
@@ -207,6 +238,13 @@ def test_non_positive_numeric_flags_are_rejected(capsys, argv):
         build_parser().parse_args(argv)
     assert exc.value.code == 2
     assert f"argument {argv[1]}:" in capsys.readouterr().err
+
+
+def test_removed_exact_jobs_flag_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["generate", "--exact-jobs", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --exact-jobs 0" in capsys.readouterr().err
 
 
 def test_documented_zero_values_are_accepted():

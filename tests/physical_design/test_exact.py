@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.layout import ESR, RES, ROW, TWODDWAVE, USE, Topology
+from repro.layout import ESR, OPEN, RES, ROW, TWODDWAVE, USE, Topology
 from repro.networks import LogicNetwork
 from repro.networks.library import mux21, xor2
-from repro.physical_design import ExactParams, exact_layout
+from repro.physical_design import ExactParams, ExactSearchStats, exact_layout
 from tests.conftest import assert_layout_good
 
 
@@ -85,3 +85,61 @@ class TestBudget:
         if result.succeeded:
             assert result.layout.width <= 5
             assert result.layout.height <= 5
+
+
+class TestIrregularScheme:
+    def test_open_is_refused_up_front(self):
+        # The search never assigns clock zones, so on OPEN no wire step
+        # is admissible; it must not burn its budget proving that.
+        ntk = LogicNetwork("wire")
+        ntk.create_po(ntk.create_pi("a"), "f")
+        with pytest.raises(ValueError, match="regular clocking scheme"):
+            exact_layout(ntk, ExactParams(scheme=OPEN, timeout=30))
+
+
+class TestStats:
+    def test_stats_populated(self):
+        result = exact_layout(mux21(), ExactParams(timeout=60))
+        stats = result.stats
+        assert stats.dimensions_explored == result.explored_ratios
+        assert stats.incumbent_updates == 1
+        assert stats.dimensions_total >= stats.dimensions_explored
+
+    def test_stats_json_roundtrip_and_merge(self):
+        stats = ExactSearchStats(dimensions_total=7, dimensions_explored=3)
+        assert ExactSearchStats.from_json(stats.to_json()) == stats
+        # Unknown keys from newer writers are ignored, not fatal.
+        assert ExactSearchStats.from_json({**stats.to_json(), "novel": 1}) == stats
+        merged = ExactSearchStats()
+        merged.merge(stats)
+        merged.merge(stats.to_json())
+        assert merged.dimensions_total == 14
+        assert merged.dimensions_explored == 6
+
+    def test_stats_with_retired_parallel_keys_still_load(self):
+        # generation_stats.json files written while the parallel engine
+        # existed carry its counters; loading and merging skip them.
+        old = {
+            "engine": "parallel",
+            "jobs": 4,
+            "dimensions_total": 7,
+            "dimensions_filtered": 1,
+            "dimensions_explored": 3,
+            "dimensions_pruned": 2,
+            "dimensions_killed": 1,
+            "incumbent_updates": 1,
+            "subtask_retries": 0,
+            "subtask_failures": 0,
+            "budget_kills": 0,
+        }
+        expected = ExactSearchStats(
+            dimensions_total=7,
+            dimensions_filtered=1,
+            dimensions_explored=3,
+            incumbent_updates=1,
+        )
+        assert ExactSearchStats.from_json(old) == expected
+        merged = ExactSearchStats()
+        merged.merge(old)
+        assert merged == expected
+        assert set(merged.to_json()) == set(expected.to_json())
