@@ -229,6 +229,7 @@ def _cmd_generate(args) -> int:
         print(
             "exact search: "
             f"{ex.get('dimensions_explored', 0)} dimensions explored, "
+            f"{ex.get('dimensions_filtered', 0)} dimensions filtered, "
             f"{ex.get('incumbent_updates', 0)} incumbent updates"
         )
     print(report.summary())

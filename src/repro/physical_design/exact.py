@@ -37,13 +37,25 @@ indices throughout: routes come straight from the index-level A* kernel
 (:func:`~repro.physical_design.routing._astar`), the undo log records
 indices, and the reachability memo is keyed by ground index.  ``Tile``
 objects are built only when a ratio succeeds, by replaying the
-surviving log into the returned ``GateLayout``.  On top
-come O(1) free-tile and border-I/O lower-bound pruning, dead-signal
-subtree pruning, reachability floods memoized by the state's occupancy
-hash, chain-window pruning on monotone schemes (2DDWave/ROW) and
-first-placement transpose symmetry breaking on square 2DDWave grids.
+surviving log into the returned ``GateLayout``.  The pruning on top:
+
+* **ratio refutation**, before a ratio is searched.  Static per-scheme
+  capacity counts (:func:`_ratio_feasible`) drop ratios up front; then,
+  lazily on each ratio about to be searched, a placement relaxation
+  (:class:`_Relaxation`) tries to prove within a fixed work budget that
+  the ratio has no layout.  This is the SMT formulation's strength —
+  proving a ratio infeasible instead of enumerating it — rebuilt as
+  bitset constraint propagation.  Both relax every layout, so a
+  refuted ratio never changes what the search returns;
+* O(1) free-tile and border-I/O lower bounds per search node;
+* dead-signal subtree pruning;
+* reachability floods memoized by the state's occupancy hash;
+* chain windows on monotone schemes (2DDWave/ROW);
+* first-placement transpose symmetry breaking on square 2DDWave grids.
+
 ``optimized=False`` reproduces the original (pre-optimization) search
-behaviour on a ``GateLayout`` and serves as the benchmark baseline.
+behaviour on a ``GateLayout`` and serves as the benchmark baseline; it
+refutes nothing, so it stays an independent oracle.
 """
 
 from __future__ import annotations
@@ -62,6 +74,7 @@ from .routing import (
     RoutingOptions,
     _arena_for,
     _astar,
+    _successor_table,
     find_path,
     unroute,
 )
@@ -110,8 +123,11 @@ class ExactSearchStats:
     """Counters describing one exact search run.
 
     ``dimensions_total`` counts the aspect ratios that survive the area
-    lower bound; ``dimensions_filtered`` the ones additionally removed
-    by the static per-scheme capacity bound (:func:`_ratio_feasible`).
+    lower bound.  ``dimensions_filtered`` counts the ones refuted
+    without search: by the static per-scheme capacity counts
+    (:func:`_ratio_feasible`), or by the placement relaxation
+    (:class:`_Relaxation`), which runs on a ratio just before the search
+    would.  ``dimensions_explored`` counts the ratios searched.
     ``from_json`` drops keys it does not know, so stats written by older
     versions (with their parallel-engine counters) still load.
     """
@@ -383,6 +399,9 @@ def exact_layout(network: LogicNetwork, params: ExactParams | None = None) -> Ex
         if time.monotonic() > deadline:
             timed_out = True
             break
+        if params.optimized and _Relaxation(ntk, elements, width, height, params).refutes():
+            stats.dimensions_filtered += 1
+            continue
         stats.dimensions_explored += 1
         ratio_deadline = deadline
         if params.ratio_timeout is not None:
@@ -466,6 +485,234 @@ def _search_order(ntk: LogicNetwork):
     for index, (signal, name) in enumerate(ntk.pos()):
         order.append(("po", (index, signal, name)))
     return order
+
+
+#: Work :class:`_Relaxation` may spend on one aspect ratio before it
+#: gives up without a verdict, in placements tried times elements.  Each
+#: placement forward-checks every element, so this bounds the time per
+#: ratio whatever the network's size (about 0.05 s on a 2-vCPU x86 host);
+#: a count, not a clock, so a verdict never depends on machine speed.
+_REFUTE_WORK = 20_000
+
+
+class _OutOfBudget(Exception):
+    pass
+
+
+class _Relaxation:
+    """A placement relaxation that refutes infeasible aspect ratios.
+
+    The variables are the elements, their values ground tiles, and
+    their domains bitsets (bit ``y * width + x``).  Each constraint
+    holds for every layout the search can return, so a ratio the
+    relaxation refutes has none:
+
+    * elements sit on distinct tiles, I/O on the border with ``border_io``;
+    * every connection is a clock-admissible path whose inner tiles are
+      no element's (wires sit on free ground, crossings above wires), so
+      a reader lies in its driver's flood over the unoccupied tiles;
+    * a gate's fanins enter it through distinct in-neighbours, each the
+      fanin's own tile or an unoccupied tile its flood reaches;
+    * an element with unplaced readers keeps an unoccupied out-neighbour;
+    * the wires fit: a connection has at least (distance - 1) inner
+      tiles, each a ground wire or a crossing above one, so their sum is
+      at most twice the free ground (once without crossings).
+
+    The search places the element with the smallest domain first and,
+    after each placement, narrows the domains of unplaced drivers and
+    readers by the floods in both directions.  Placed elements only add
+    obstacles, so a flood is recomputed only when the new tile was in
+    it.  Floods are bit-parallel: one shift per neighbour offset and
+    step.
+    """
+
+    def __init__(self, ntk, elements, width: int, height: int, params: ExactParams):
+        n = width * height
+        succ = _successor_table(width, height, neighbor_tables(params.scheme, params.topology))
+        by_offset: dict[int, int] = {}
+        self._out = [0] * n
+        self._in = [0] * n
+        for g, targets in enumerate(succ):
+            for s in targets:
+                by_offset[s - g] = by_offset.get(s - g, 0) | (1 << g)
+                self._out[g] |= 1 << s
+                self._in[s] |= 1 << g
+        #: (sources, shift) pairs: ``sources`` steps to ``tile + shift``.
+        self._forward = [(mask, d) for d, mask in by_offset.items()]
+        self._backward = [
+            (mask << d if d > 0 else mask >> -d, -d) for d, mask in by_offset.items()
+        ]
+        index = {p: i for i, (kind, p) in enumerate(elements) if kind == "node"}
+        fanins = []
+        for kind, payload in elements:
+            drivers = [payload[1]] if kind == "po" else ntk.node(payload).fanins
+            fanins.append(tuple(index[f] for f in drivers if f in index))
+        readers: list[list[int]] = [[] for _ in elements]
+        for v, drivers in enumerate(fanins):
+            for f in drivers:
+                readers[f].append(v)
+        self._fanins = fanins
+        self._readers = readers
+        self._edges = [(f, v) for v, drivers in enumerate(fanins) for f in drivers]
+        border = sum(
+            1 << (y * width + x)
+            for y in range(height)
+            for x in range(width)
+            if x in (0, width - 1) or y in (0, height - 1)
+        )
+        domains = []
+        for i, (kind, payload) in enumerate(elements):
+            domain = sum(
+                1 << g
+                for g in range(n)
+                if self._in[g].bit_count() >= len(fanins[i])
+                and (self._out[g] or not readers[i])
+            )
+            if params.border_io and (
+                kind == "po" or ntk.node(payload).gate_type is GateType.PI
+            ):
+                domain &= border
+            domains.append(domain)
+        self._domains = domains
+        self._wire_cap = (2 if params.routing.allow_crossings else 1) * (n - len(elements))
+        self._budget = _REFUTE_WORK // len(elements)
+        self._nodes = 0
+
+    def refutes(self) -> bool:
+        """True if no placement satisfies the relaxation; ``False`` when
+        one does or the node budget runs out first."""
+        count = len(self._domains)
+        try:
+            return not self._search(
+                [-1] * count, 0, self._domains, [None] * count, [None] * count, count
+            )
+        except _OutOfBudget:
+            return False
+
+    def _search(self, pos, occupied, domains, fwd, bwd, left: int) -> bool:
+        if not left:
+            return True
+        best, size = -1, len(self._out) + 1
+        for j, p in enumerate(pos):
+            if p < 0:
+                count = domains[j].bit_count()
+                if count < size:
+                    best, size = j, count
+        domain = domains[best]
+        while domain:
+            low = domain & -domain
+            domain ^= low
+            self._nodes += 1
+            if self._nodes > self._budget:
+                raise _OutOfBudget
+            child = self._assign(best, low.bit_length() - 1, pos, occupied, domains, fwd, bwd)
+            if child is not None and self._search(*child, left - 1):
+                return True
+        return False
+
+    def _flood(self, tile: int, occupied: int, steps) -> list[int]:
+        """Cumulative layers: the tiles within 1, 2, ... steps of ``tile``
+        over unoccupied inner tiles (the last layer is the whole flood)."""
+        seen = frontier = 1 << tile
+        free = ~occupied
+        reach = 0
+        layers = []
+        while frontier:
+            step = 0
+            for mask, shift in steps:
+                bits = frontier & mask
+                if bits:
+                    step |= bits << shift if shift > 0 else bits >> -shift
+            reach |= step
+            layers.append(reach)
+            frontier = step & free & ~seen
+            seen |= frontier
+        return layers
+
+    def _assign(self, i: int, tile: int, pos, occupied, domains, fwd, bwd):
+        """Place element ``i`` on ``tile`` and forward-check; the child
+        state, or ``None`` when a constraint fails."""
+        bit = 1 << tile
+        occupied |= bit
+        free = ~occupied
+        pos = pos.copy()
+        pos[i] = tile
+        fwd, bwd = fwd.copy(), bwd.copy()
+        for floods, steps in ((fwd, self._forward), (bwd, self._backward)):
+            for u, layers in enumerate(floods):
+                if layers is not None and layers[-1] & bit:
+                    floods[u] = self._flood(pos[u], occupied, steps)
+        fanins, readers = self._fanins, self._readers
+        if readers[i]:
+            fwd[i] = self._flood(tile, occupied, self._forward)
+        if fanins[i]:
+            bwd[i] = self._flood(tile, occupied, self._backward)
+
+        domains = domains.copy()
+        union = unplaced = 0
+        for j, p in enumerate(pos):
+            if p >= 0:
+                continue
+            domain = domains[j] & free
+            for f in fanins[j]:
+                if pos[f] >= 0:
+                    domain &= fwd[f][-1]
+            for r in readers[j]:
+                if pos[r] >= 0:
+                    domain &= bwd[r][-1]
+            if not domain:
+                return None
+            domains[j] = domain
+            union |= domain
+            unplaced += 1
+        if union.bit_count() < unplaced:
+            return None
+
+        for v, p in enumerate(pos):
+            if p < 0:
+                continue
+            if not self._out[p] & free and any(pos[r] < 0 for r in readers[v]):
+                return None
+            if fanins[v]:
+                entries = self._in[p]
+                options = [
+                    entries & free if pos[f] < 0
+                    else entries & ((1 << pos[f]) | (fwd[f][-1] & free))
+                    for f in fanins[v]
+                ]
+                if not _distinct_members(options):
+                    return None
+
+        wires = 0
+        for f, v in self._edges:
+            p, q = pos[f], pos[v]
+            if p >= 0:
+                layers, target = fwd[f], (1 << q if q >= 0 else domains[v])
+            elif q >= 0:
+                layers, target = bwd[v], domains[f]
+            else:
+                continue
+            for steps, layer in enumerate(layers):
+                if layer & target:
+                    wires += steps
+                    break
+            else:
+                return None
+        if wires > self._wire_cap:
+            return None
+        return pos, occupied, domains, fwd, bwd
+
+
+def _distinct_members(sets: list[int]) -> bool:
+    """Hall's condition: the bitsets admit pairwise distinct members."""
+    for subset in range(1, 1 << len(sets)):
+        union = 0
+        for k, bits in enumerate(sets):
+            if subset >> k & 1:
+                union |= bits
+        if union.bit_count() < subset.bit_count():
+            return False
+    return True
 
 
 #: Occupancy markers of :class:`_SearchState`.  The router and the

@@ -1,5 +1,7 @@
 """Tests for the mnt-bench command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -28,6 +30,7 @@ def test_generate_and_query(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "xor2.v" in out
     assert ".fgl" in out
+    assert re.search(r"exact search: \d+ dimensions explored, \d+ dimensions filtered, ", out)
 
     assert main(["query", "--database", db, "--algorithm", "ortho"]) == 0
     out = capsys.readouterr().out

@@ -67,9 +67,10 @@ class TestSchemes:
 
 class TestBudget:
     def test_timeout_reported(self):
-        # A sub-millisecond budget cannot finish anything.
-        result = exact_layout(mux21(), ExactParams(timeout=0.001))
-        assert not result.succeeded
+        # A sub-millisecond budget cannot finish anything: xor2 on USE
+        # refutes 16 ratios before its answer, far more than 1 ms of work.
+        result = exact_layout(xor2(), ExactParams(scheme=USE, timeout=0.001))
+        assert not result.succeeded and result.timed_out
         assert result.runtime_seconds < 5
 
     def test_border_io(self):
