@@ -16,10 +16,9 @@ path against the retained dense reference it replaced:
 * **metrics / drc / extract** — ``compute_metrics``, ``check_layout``
   and ``extract_network`` under ``engine="sparse"`` vs.
   ``engine="reference"``; equal metrics, verdicts and networks.
-* **cell_compile / serialize_qca** (small & mid circuits only — a
-  c5315-scale ``.qca`` is >1 GiB) — block-stamped QCA ONE compilation
-  and the streaming ``.qca`` writer vs. their references; equal cell
-  maps and byte-identical files.
+* **serialize_qca** (small & mid circuits only — a c5315-scale
+  ``.qca`` is >1 GiB) — the streaming ``.qca`` writer vs. its
+  reference on the one QCA ONE compile; byte-identical files.
 
 Every workload runs each engine exactly once: the single execution is
 timed *and* its output feeds the identity oracle, so a reported speedup
@@ -148,18 +147,10 @@ def bench_circuit(suite: str, name: str, heavy: bool) -> dict:
     record("extract", ref_s, fast_s, _networks_equal(fast_n, ref_n))
 
     if not heavy:
-        fast_c, fast_s = _timed(lambda: apply_qca_one(layout, engine="blocks"))
-        ref_c, ref_s = _timed(lambda: apply_qca_one(layout, engine="reference"))
-        record(
-            "cell_compile", ref_s, fast_s,
-            fast_c.cells == ref_c.cells and fast_c.zones == ref_c.zones,
-        )
-
-        fast_q, fast_s = _timed(
-            lambda: cell_layout_to_qca(fast_c, engine="stream")
-        )
+        cells = apply_qca_one(layout)
+        fast_q, fast_s = _timed(lambda: cell_layout_to_qca(cells, engine="stream"))
         ref_q, ref_s = _timed(
-            lambda: cell_layout_to_qca(ref_c, engine="reference")
+            lambda: cell_layout_to_qca(cells, engine="reference")
         )
         record("serialize_qca", ref_s, fast_s, fast_q == ref_q)
 

@@ -288,13 +288,19 @@ class SnapshotManager:
         return self.refresh()
 
     def warm(self) -> dict:
-        """Pre-parse every packed gate-level artifact into the shared
-        layout LRU (up to its capacity) so first requests pay no
-        cold-start parse.  Returns counters for observability."""
+        """Pre-parse the gate-level artifacts whose cell-level download
+        loads a layout — the Bestagon ones (``format=sqd``) — into the
+        shared layout LRU (up to its capacity), so first requests pay no
+        cold-start parse; QCA ONE downloads compile the stored text's
+        columns and never read the LRU.  Returns counters for
+        observability."""
         snapshot = self.current()
         warmed = failed = 0
         for record in snapshot.records:
-            if record.abstraction_level is not AbstractionLevel.GATE_LEVEL:
+            if (
+                record.abstraction_level is not AbstractionLevel.GATE_LEVEL
+                or record.gate_library != "Bestagon"
+            ):
                 continue
             try:
                 snapshot.store.load_layout(record.path)

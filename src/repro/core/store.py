@@ -312,6 +312,12 @@ class ArtifactStore:
         out from under it.  With a frozen view, corrupt slices are not
         evicted from the live table (the snapshot owner is a reader).
         """
+        return self._read_verified(relpath, entries)[0]
+
+    def _read_verified(self, relpath: str, entries: dict | None) -> tuple[str, str | None]:
+        """:meth:`read_text`, with the SHA-256 the text was verified
+        against: the entry's digest for an intact pack slice, ``None``
+        for the loose file, which nothing verified."""
         frozen = entries is not None
         entry = (entries if frozen else self._entries).get(relpath)
         if entry is not None:
@@ -322,7 +328,7 @@ class ArtifactStore:
                     len(data) == entry["size"]
                     and hashlib.sha256(data).hexdigest() == entry["sha256"]
                 ):
-                    return data.decode("utf-8")
+                    return data.decode("utf-8"), entry["sha256"]
             except (OSError, zlib.error, ValueError):
                 pass
             # Corrupted or unreadable slice: drop the entry and recover
@@ -333,7 +339,7 @@ class ArtifactStore:
                     self._dirty = True
         loose = self.root / relpath
         if loose.exists():
-            return loose.read_text(encoding="utf-8")
+            return loose.read_text(encoding="utf-8"), None
         raise ArtifactNotFoundError(relpath)
 
     def read_compressed(self, relpath: str, entries: dict | None = None) -> bytes | None:
@@ -428,14 +434,18 @@ class ArtifactStore:
         Returns a private clone; the cached instance is never exposed.
         The LRU is keyed by content digest, so snapshot readers passing
         a frozen ``entries`` view share it safely with the live store.
+        A verified pack slice is keyed by the digest it was verified
+        against; only loose text (no entry, or a corrupt slice's
+        fallback, which may not match its entry) is hashed here.
         """
         entry = (entries if entries is not None else self._entries).get(relpath)
         if entry is not None:
             cached = self._cache.get(entry["sha256"])
             if cached is not None:
                 return cached.clone()
-        text = self.read_text(relpath, entries=entries)
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        text, digest = self._read_verified(relpath, entries)
+        if digest is None:
+            digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         cached = self._cache.get(digest)
         if cached is None:
             cached = fgl_to_layout(text)

@@ -16,7 +16,11 @@ well as USE/RES/ESR.
 
 from __future__ import annotations
 
+from itertools import count
+
 from ..celllayout.cell_layout import QCACell, QCACellLayout, QCACellType
+from ..io.fgl import CanonicalFgl, layout_to_columns
+from ..layout.clocking import neighbor_tables
 from ..layout.coordinates import Tile, Topology
 from ..layout.gate_layout import GateLayout
 from ..networks.logic_network import GateType
@@ -73,89 +77,111 @@ def side_of(tile: Tile, neighbor: Tile) -> str:
     return _SIDES[offset]
 
 
-def apply_qca_one(layout: GateLayout, engine: str = "blocks") -> QCACellLayout:
+def apply_qca_one(layout: GateLayout | CanonicalFgl) -> QCACellLayout:
     """Compile a Cartesian gate-level layout into QCA ONE cells.
 
-    The default ``"blocks"`` engine reads each ground tile's side
-    signature straight from raw coordinate offsets (fanins, the reader
-    lists of ``layout._readers`` and the crossing gate in
-    ``layout._grid[1]``), memoizes one precompiled 5×5 cell block per
-    (gate type, entry sides, exit sides, crossing signature), and stamps
-    it per tile into flat position/cell/zone lists that fill the cell
-    and zone dicts in one bulk update each — the cost scales with
-    occupied tiles and *distinct* tile shapes, with no ``Tile`` built
-    per neighbour and no per-cell dict write.  The ``"reference"``
-    engine builds each block anew per tile (the retained
-    original); both produce equal cell and zone dicts in the same
-    insertion order, which the differential tests and the cell golden
-    corpus assert.
+    ``layout`` is a :class:`GateLayout` or its gate columns (a
+    :class:`~repro.io.fgl.CanonicalFgl`, as
+    :func:`~repro.io.fgl.fgl_to_columns` reads them from ``.fgl`` text);
+    a layout is converted to its columns first, so both run one compile.
+    Each ground row's side signature comes from raw coordinate offsets:
+    its fanins, the rows that read it (the fanin columns inverted) and
+    the crossing wire on the row's position.  One label-free 5×5 cell
+    block is built per distinct (gate type, entry sides, exit sides,
+    crossing signature) and stamped per row into flat position, cell
+    and zone lists that fill the cell and zone dicts in one bulk update
+    each; no :class:`Tile` is built unless a neighbour is not adjacent.
+    Blocks land in row order, which for a layout is its tile order.
     """
-    if layout.topology is not Topology.CARTESIAN:
+    columns = layout if isinstance(layout, CanonicalFgl) else layout_to_columns(layout)
+    if columns.topology is not Topology.CARTESIAN:
         raise QCAOneError("QCA ONE targets Cartesian layouts")
-    if engine == "reference":
-        return _apply_reference(layout)
-    if engine != "blocks":
-        raise ValueError(f"unknown QCA ONE engine {engine!r}")
-    cell_layout = QCACellLayout(name=layout.name, tile_size=TILE_SIZE)
-    cells = cell_layout.cells
-    zones = cell_layout.zones
+    xs, ys, zs, starts = columns.xs, columns.ys, columns.zs, columns.fanin_start
+    signals = list(zip(columns.fx, columns.fy, columns.fz))
+    # The ground positions reading each tile, in row order, and the row
+    # of the crossing wire above each ground position.
+    readers: dict[tuple, list] = {}
+    crossings: dict[tuple[int, int], int] = {}
+    for row, x, y, z, lo, hi in zip(count(), xs, ys, zs, starts, starts[1:]):
+        if z:
+            crossings[(x, y)] = row
+        for signal in signals[lo:hi]:
+            bucket = readers.get(signal)
+            if bucket is None:
+                readers[signal] = [(x, y)]
+            else:
+                bucket.append((x, y))
+    regular = columns.scheme.regular
+    if regular:
+        tables = neighbor_tables(columns.scheme, Topology.CARTESIAN)
+        zone_rows, period_x, period_y = tables.zones, tables.period_x, tables.period_y
+    else:
+        explicit_zones = columns.zones or {}
+
+    cell_layout = QCACellLayout(name=columns.name, tile_size=TILE_SIZE)
     templates: dict[tuple, tuple] = {}
-    readers = layout._readers
-    crossings = layout._grid[1]
-    width = layout.width
     sides = _SIDES
     positions, blocks, tile_zones, labels = [], [], [], []
-    for tile, gate in layout.tiles():
-        gate_type = gate.gate_type
+    for gate_type, name, x, y, z, lo, hi in zip(
+        columns.types, columns.names, xs, ys, zs, starts, starts[1:]
+    ):
         if gate_type not in SUPPORTED_GATES:
             raise QCAOneError(
                 f"QCA ONE has no cell implementation for {gate_type.value}; "
                 "decompose the network to AOIG first"
             )
-        x, y, z = tile
         if z:
             # The crossing layer is realised coplanarly inside the ground
-            # tile's block (rotated cells); handled when visiting z = 0.
+            # tile's block (rotated cells); handled at its ground row.
             continue
-        above = crossings[y * width + x]
+        above = crossings.get((x, y))
+        # Readers on the same ground position are the vertical hop into
+        # the crossing layer, realised by the crossing overlay.
+        out_readers = [r for r in readers.get((x, y, 0), ()) if r != (x, y)]
         try:
-            in_sides = tuple([sides[(fx - x, fy - y)] for fx, fy, _ in gate.fanins])
-            # Readers on the same ground position are the vertical hop
-            # into the crossing layer, realised by the crossing overlay.
-            out_sides = tuple([
-                sides[(rx - x, ry - y)]
-                for rx, ry, _ in readers.get(tile, ())
-                if rx != x or ry != y
-            ])
+            in_sides = tuple([sides[(fx - x, fy - y)] for fx, fy, _ in signals[lo:hi]])
+            out_sides = tuple([sides[(rx - x, ry - y)] for rx, ry in out_readers])
             if above is None:
                 crossing = None
             else:
-                fx, fy, _ = above.fanins[0]
+                fx, fy, _ = signals[starts[above]]
                 crossing = (
                     sides[(fx - x, fy - y)],
                     tuple([
                         sides[(rx - x, ry - y)]
-                        for rx, ry, _ in readers.get((x, y, 1), ())
+                        for rx, ry in readers.get((x, y, 1), ())
                         if rx != x or ry != y
                     ]),
                 )
         except KeyError:
-            # A neighbour that is not adjacent: side_of raises the typed error.
-            in_sides, out_sides, crossing = _signature(layout, tile, gate, above)
+            # A neighbour that is not adjacent: side_of raises the typed
+            # error, for the crossing wire's neighbours first.
+            if above is not None:
+                side_of(Tile(x, y), Tile(*signals[starts[above]][:2]))
+                for rx, ry in readers.get((x, y, 1), ()):
+                    if rx != x or ry != y:
+                        side_of(Tile(x, y, 1), Tile(rx, ry))
+            for fx, fy, _ in signals[lo:hi]:
+                side_of(Tile(x, y), Tile(fx, fy))
+            for rx, ry in out_readers:
+                side_of(Tile(x, y), Tile(rx, ry))
+            raise  # pragma: no cover - one of the neighbours is not adjacent
         key = (gate_type, in_sides, out_sides, crossing)
         template = templates.get(key)
         if template is None:
             template = templates[key] = _template(
-                gate_type, in_sides, out_sides, crossing, tile
+                gate_type, in_sides, out_sides, crossing, Tile(x, y)
             )
         offsets, block = template
         base_x, base_y = x * TILE_SIZE, y * TILE_SIZE
         positions += [(base_x + dx, base_y + dy, layer) for dx, dy, layer in offsets]
         blocks += block
-        tile_zones += [layout.zone(tile)] * len(block)
-        if gate.name is not None and (
-            gate_type is GateType.PI or gate_type is GateType.PO
-        ):
+        if regular:
+            zone = zone_rows[y % period_y][x % period_x]
+        else:
+            zone = explicit_zones.get((x, y), 0)
+        tile_zones += [zone] * len(block)
+        if name is not None and (gate_type is GateType.PI or gate_type is GateType.PO):
             # Templates are label-free so they are shareable; pin labels
             # land on the centre cell afterwards (an existing key, so the
             # insertion order stays that of the stamped blocks).
@@ -164,92 +190,29 @@ def apply_qca_one(layout: GateLayout, engine: str = "blocks") -> QCACellLayout:
             )
             labels.append((
                 (base_x + _CENTER[0], base_y + _CENTER[1], 0),
-                QCACell(centre_type, gate.name),
+                QCACell(centre_type, name),
             ))
-    cells.update(zip(positions, blocks))
-    cells.update(labels)
-    zones.update(zip(positions, tile_zones))
+    cell_layout.cells.update(zip(positions, blocks))
+    cell_layout.cells.update(labels)
+    cell_layout.zones.update(zip(positions, tile_zones))
     return cell_layout
-
-
-def _signature(layout: GateLayout, tile: Tile, gate, above) -> tuple:
-    """A ground tile's (in sides, out sides, crossing) through
-    :func:`side_of`, which raises :class:`QCAOneError` for a neighbour
-    that is not adjacent."""
-    crossing = None
-    if above is not None:
-        crossing = (
-            side_of(tile, above.fanins[0].ground),
-            tuple(_out_sides(layout, tile.above)),
-        )
-    return (
-        tuple(_in_sides(layout, tile, gate)),
-        tuple(_out_sides(layout, tile)),
-        crossing,
-    )
 
 
 def _template(gate_type, in_sides, out_sides, crossing, tile: Tile) -> tuple:
     """One label-free block as (cell offsets with layer, cells)."""
-    block = _block_from_sides(gate_type, list(in_sides), list(out_sides), None, tile)
+    block = _block_from_sides(gate_type, list(in_sides), list(out_sides), tile)
     if crossing is not None:
         _overlay_crossing(block, crossing[0], list(crossing[1]))
     offsets = tuple(k if len(k) == 3 else (k[0], k[1], 0) for k in block)
     return offsets, tuple(block.values())
 
 
-def _apply_reference(layout: GateLayout) -> QCACellLayout:
-    """Per-tile block construction — the retained reference oracle."""
-    cell_layout = QCACellLayout(name=layout.name, tile_size=TILE_SIZE)
-    for tile, gate in layout.tiles():
-        if gate.gate_type not in SUPPORTED_GATES:
-            raise QCAOneError(
-                f"QCA ONE has no cell implementation for {gate.gate_type.value}; "
-                "decompose the network to AOIG first"
-            )
-        if tile.z == 1:
-            # The crossing layer is realised coplanarly inside the ground
-            # tile's block (rotated cells); handled when visiting z = 0.
-            continue
-        block = _block_for(layout, tile, gate)
-        above = layout.get(tile.above)
-        if above is not None:
-            _merge_crossing(block, layout, tile, above)
-        _blit(cell_layout, tile, block, layout.zone(tile))
-    return cell_layout
-
-
-def _in_sides(layout: GateLayout, tile: Tile, gate) -> list[str]:
-    return [side_of(tile, f.ground) for f in gate.fanins]
-
-
-def _out_sides(layout: GateLayout, tile: Tile) -> list[str]:
-    sides = []
-    for reader in layout.readers(tile):
-        if reader.ground == tile.ground:
-            continue  # vertical hop, handled by the crossing merge
-        sides.append(side_of(tile, reader.ground))
-    return sides
-
-
-def _block_for(layout: GateLayout, tile: Tile, gate) -> dict:
-    return _block_from_sides(
-        gate.gate_type,
-        _in_sides(layout, tile, gate),
-        _out_sides(layout, tile),
-        gate.name,
-        tile,
-    )
-
-
-def _block_from_sides(
-    t, in_sides: list[str], out_sides: list[str], name, tile: Tile
-) -> dict:
-    """Pure block construction from a tile's side signature.
+def _block_from_sides(t, in_sides: list[str], out_sides: list[str], tile: Tile) -> dict:
+    """Pure, label-free block construction from a tile's side signature.
 
     ``tile`` is used only for error messages; the block depends solely on
-    (gate type, in sides, out sides, name), which is what makes blocks
-    memoizable by the ``"blocks"`` engine.
+    (gate type, in sides, out sides), which is what makes blocks
+    memoizable.
     """
     block: dict[tuple[int, int], QCACell] = {}
 
@@ -257,15 +220,15 @@ def _block_from_sides(
         for offset in _ARM[side]:
             block[offset] = QCACell(cell_type)
 
-    def centre(cell_type=QCACellType.NORMAL, label=None) -> None:
-        block[_CENTER] = QCACell(cell_type, label)
+    def centre(cell_type=QCACellType.NORMAL) -> None:
+        block[_CENTER] = QCACell(cell_type)
 
     if t is GateType.PI:
-        centre(QCACellType.INPUT, name)
+        centre(QCACellType.INPUT)
         for side in out_sides:
             arm(side)
     elif t is GateType.PO:
-        centre(QCACellType.OUTPUT, name)
+        centre(QCACellType.OUTPUT)
         for side in in_sides:
             arm(side)
     elif t in (GateType.BUF, GateType.FANOUT):
@@ -307,24 +270,14 @@ def _block_from_sides(
     return block
 
 
-def _merge_crossing(block: dict, layout: GateLayout, tile: Tile, above) -> None:
-    """Overlay the crossing wire onto the block's crossing plane.
+def _overlay_crossing(block: dict, in_side: str, out_sides: list[str]) -> None:
+    """Overlay the crossing wire, from its side signature, onto the
+    block's crossing plane.
 
     The crossing wire runs on cell layer 2 with via cells (layer 1) at
     its entry and exit arms — the multilayer realisation fiction's QCA
     ONE application emits for ``z = 1`` gate-level wires.
     """
-    in_side = side_of(tile, above.fanins[0].ground)
-    out_sides = [
-        side_of(tile, reader.ground)
-        for reader in layout.readers(tile.above)
-        if reader.ground != tile.ground
-    ]
-    _overlay_crossing(block, in_side, out_sides)
-
-
-def _overlay_crossing(block: dict, in_side: str, out_sides: list[str]) -> None:
-    """Pure crossing overlay from the crossing wire's side signature."""
     for side in [in_side] + out_sides:
         outer, inner = _ARM[side]
         # Ground landing cell so the via stack couples to the incoming
@@ -336,13 +289,3 @@ def _overlay_crossing(block: dict, in_side: str, out_sides: list[str]) -> None:
         block[(inner[0], inner[1], 2)] = QCACell(QCACellType.NORMAL)
     block[(_CENTER[0], _CENTER[1], 2)] = QCACell(QCACellType.NORMAL)
 
-
-def _blit(cell_layout: QCACellLayout, tile: Tile, block: dict, zone: int) -> None:
-    base_x, base_y = tile.x * TILE_SIZE, tile.y * TILE_SIZE
-    for key, cell in block.items():
-        if len(key) == 2:
-            dx, dy = key
-            layer = 0
-        else:
-            dx, dy, layer = key
-        cell_layout.set_cell(base_x + dx, base_y + dy, cell, layer, zone)

@@ -43,7 +43,8 @@ import io
 import re
 import xml.etree.ElementTree as ET
 from array import array
-from itertools import repeat
+from itertools import accumulate, chain, count, repeat
+from operator import lt, sub
 from pathlib import Path
 from typing import NamedTuple
 
@@ -756,12 +757,53 @@ def _create(layout: GateLayout, record: tuple) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _build_layout(scanned: CanonicalFgl) -> GateLayout:
+def columns_to_layout(columns: CanonicalFgl) -> GateLayout:
+    """Build the :class:`GateLayout` of scanned gate columns, raising the
+    :class:`FglError` :func:`fgl_to_layout` raises for their text."""
     layout = _new_layout(
-        scanned.name, scanned.topology, scanned.width, scanned.height,
-        scanned.scheme, scanned.zones,
+        columns.name, columns.topology, columns.width, columns.height,
+        columns.scheme, columns.zones,
     )
-    return _place_records(layout, scanned.records())
+    return _place_records(layout, columns.records())
+
+
+def layout_to_columns(layout: GateLayout) -> CanonicalFgl:
+    """The gate columns of ``layout`` as a :class:`CanonicalFgl`, one
+    row per occupied tile in the layout's tile order, with no text in
+    between."""
+    tiles = list(layout._tiles)
+    gates = list(layout._tiles.values())
+    signals = [fanin for gate in gates for fanin in gate.fanins]
+    zones = None
+    if not layout.scheme.regular:
+        zones = {(x, y): clock for (x, y, _), clock in layout._zones.items()}
+    return CanonicalFgl(
+        layout.name, layout.topology, layout.width, layout.height, layout.scheme,
+        zones,
+        [gate.gate_type for gate in gates],
+        [gate.name for gate in gates],
+        array("i", [tile[0] for tile in tiles]),
+        array("i", [tile[1] for tile in tiles]),
+        array("i", [tile[2] for tile in tiles]),
+        array("i", accumulate([len(gate.fanins) for gate in gates], initial=0)),
+        array("i", [signal[0] for signal in signals]),
+        array("i", [signal[1] for signal in signals]),
+        array("i", [signal[2] for signal in signals]),
+    )
+
+
+def _reads_earlier_rows(columns: CanonicalFgl) -> bool:
+    """Does every gate read only gates of earlier rows?  Then
+    :func:`_place_records` places the rows in one pass, in row order."""
+    row_of = dict(zip(zip(columns.xs, columns.ys, columns.zs), count()))
+    starts = columns.fanin_start
+    resolved = map(
+        row_of.get, zip(columns.fx, columns.fy, columns.fz), repeat(len(starts))
+    )
+    readers = chain.from_iterable(
+        map(repeat, count(), map(sub, starts[1:], starts))
+    )
+    return all(map(lt, resolved, readers))
 
 
 def fgl_to_layout(text: str) -> GateLayout:
@@ -773,7 +815,27 @@ def fgl_to_layout(text: str) -> GateLayout:
     scanned = scan_canonical(text)
     if scanned is None:
         return fgl_to_layout_xml(text)
-    return _build_layout(scanned)
+    return columns_to_layout(scanned)
+
+
+def fgl_to_columns(text: str) -> CanonicalFgl:
+    """The gate columns of ``.fgl`` text, for consumers that compile
+    columns rather than walk a :class:`GateLayout`.
+
+    Canonical text whose gates read only earlier gates — what
+    :func:`layout_to_fgl` writes — is scanned and returned with no
+    layout built: such rows place in one pass and no check of the
+    layout build can refuse them (the scanner knows no constant tag).
+    Any other text is read to a layout and converted back by
+    :func:`layout_to_columns`, so it is refused with the same
+    :class:`FglError` as :func:`fgl_to_layout`, and its rows come in
+    the layout's tile order.
+    """
+    scanned = scan_canonical(text)
+    if scanned is not None and _reads_earlier_rows(scanned):
+        return scanned
+    layout = fgl_to_layout_xml(text) if scanned is None else columns_to_layout(scanned)
+    return layout_to_columns(layout)
 
 
 def fgl_to_layout_xml(text: str) -> GateLayout:
@@ -799,4 +861,4 @@ def read_fgl(path) -> GateLayout:
         scanned = None
     if scanned is None:
         return _parse_fgl(io.BytesIO(data))
-    return _build_layout(scanned)
+    return columns_to_layout(scanned)

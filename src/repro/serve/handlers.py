@@ -37,6 +37,7 @@ from ..core.selection import AbstractionLevel, Selection
 from ..core.snapshot import SnapshotManager
 from ..core.store import ArtifactNotFoundError
 from ..gatelibs.apply import apply_gate_library
+from ..io.fgl import fgl_to_columns
 from ..io.qca import cell_layout_to_qca
 from ..io.sqd import sidb_layout_to_sqd
 from ..layout.coordinates import Topology
@@ -51,6 +52,11 @@ from .http_utils import (
 
 #: Rendered-payload LRU bound (best/report/cell-level conversions).
 DEFAULT_RENDER_CACHE_SIZE = 64
+
+#: Byte bound on the rendered-payload LRU: a cell-level body is about
+#: 1 KB per layout element (a c432 ``.qca`` about 10 MB), so entries
+#: alone do not bound its memory.  A larger body is served uncached.
+DEFAULT_RENDER_CACHE_BYTES = 64 * 2**20
 
 _CONTENT_TYPES = {
     "fgl": "application/xml; charset=utf-8",
@@ -191,7 +197,7 @@ class BenchService:
             GzipEncoder(gzip_cache_size) if gzip_cache_size else GzipEncoder()
         )
         #: (digest, kind, params) → rendered payload bytes.
-        self.render_cache = LruCache(render_cache_size)
+        self.render_cache = LruCache(render_cache_size, DEFAULT_RENDER_CACHE_BYTES)
         self.started = time.time()
         self.counters: dict[str, int] = {}
         self._counter_lock = threading.Lock()
@@ -403,7 +409,12 @@ class BenchService:
 
     def _cell_level(self, snapshot, record, entry, fmt, etag) -> Response:
         """``format=sqd``/``qca``: compile the gate-level artifact with
-        its gate library; conversions are cached by content digest."""
+        its gate library; conversions are cached by content digest.
+
+        QCA ONE compiles the gate columns of the stored text
+        (text → columns → compile → writer), with no layout built for
+        canonical text; Bestagon loads the layout, which Cartesian
+        artifacts need for the 45° rotation."""
         if record.abstraction_level is not AbstractionLevel.GATE_LEVEL:
             return _error(400, f"format={fmt} requires a gate-level artifact")
         library = record.gate_library or ""
@@ -417,15 +428,16 @@ class BenchService:
         key = (entry["sha256"] if entry else etag, fmt)
         body = self.render_cache.get(key)
         if body is None:
-            layout = snapshot.store.load_layout(record.path)
-            if fmt == "sqd" and layout.topology is Topology.CARTESIAN:
-                # Bestagon targets hexagonal grids; a Cartesian 2DDWave
-                # artifact maps onto one exactly (the 45° rotation).
-                layout = to_hexagonal(layout).layout
-            cells = apply_gate_library(layout, library)
-            text = (
-                sidb_layout_to_sqd(cells) if fmt == "sqd" else cell_layout_to_qca(cells)
-            )
+            if fmt == "sqd":
+                layout = snapshot.store.load_layout(record.path)
+                if layout.topology is Topology.CARTESIAN:
+                    # Bestagon targets hexagonal grids; a Cartesian 2DDWave
+                    # artifact maps onto one exactly (the 45° rotation).
+                    layout = to_hexagonal(layout).layout
+                text = sidb_layout_to_sqd(apply_gate_library(layout, library))
+            else:
+                columns = fgl_to_columns(snapshot.store.read_text(record.path))
+                text = cell_layout_to_qca(apply_gate_library(columns, library))
             body = text.encode("utf-8")
             self.render_cache.put(key, body)
         return Response(200, body, _CONTENT_TYPES[fmt], etag=etag)

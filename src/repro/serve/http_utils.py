@@ -84,11 +84,17 @@ def etag_matches(if_none_match: str | None, etag: str) -> bool:
 
 class LruCache:
     """A small thread-safe LRU used for compressed responses and
-    per-epoch rendered payloads (report/best/cell-level conversions)."""
+    per-epoch rendered payloads (report/best/cell-level conversions).
 
-    def __init__(self, maxsize: int) -> None:
+    Bounded by ``maxsize`` entries and, when ``maxbytes`` is given, by
+    the summed ``len`` of the cached values: a value longer than
+    ``maxbytes`` is not cached at all."""
+
+    def __init__(self, maxsize: int, maxbytes: int | None = None) -> None:
         self.maxsize = maxsize
+        self.maxbytes = maxbytes
         self._data: OrderedDict = OrderedDict()
+        self._bytes = 0
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -102,20 +108,31 @@ class LruCache:
             self.hits += 1
             return self._data[key]
 
+    def _size(self, value) -> int:
+        return 0 if self.maxbytes is None else len(value)
+
     def put(self, key, value) -> None:
-        if self.maxsize <= 0:
+        size = self._size(value)
+        if self.maxsize <= 0 or (self.maxbytes is not None and size > self.maxbytes):
             return
         with self._lock:
+            if key in self._data:
+                self._bytes -= self._size(self._data.pop(key))
             self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
+            self._bytes += size
+            while len(self._data) > self.maxsize or (
+                self.maxbytes is not None and self._bytes > self.maxbytes
+            ):
+                self._bytes -= self._size(self._data.popitem(last=False)[1])
 
     def __len__(self) -> int:
         return len(self._data)
 
     def stats(self) -> dict:
-        return {"entries": len(self._data), "hits": self.hits, "misses": self.misses}
+        stats = {"entries": len(self._data), "hits": self.hits, "misses": self.misses}
+        if self.maxbytes is not None:
+            stats["bytes"] = self._bytes
+        return stats
 
 
 class GzipEncoder:

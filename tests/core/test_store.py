@@ -171,6 +171,30 @@ class TestLayoutCache:
         first.name = "mutated"
         assert store.load_layout("s/a.fgl").name != "mutated"
 
+    def test_corrupt_slice_fallback_is_cached_under_the_loose_digest(self, tmp_path):
+        """A corrupt slice's loose fallback may not match its entry: it is
+        cached under its own digest, so a path whose slice does carry the
+        entry's content never gets the fallback's layout."""
+        packed, loose = fgl_texts(2)
+        (tmp_path / "s").mkdir()
+        (tmp_path / "s" / "a.fgl").write_text(loose, encoding="utf-8")
+        store = ArtifactStore(tmp_path)
+        store.add_text("s/a.fgl", packed)
+        store.add_text("s/b.fgl", packed)
+        store.save()
+        offset = store.entry("s/a.fgl")["offset"]
+        store.close()
+        pack = tmp_path / PACK_NAME
+        blob = bytearray(pack.read_bytes())
+        blob[offset + 4] ^= 0xFF  # flip a payload byte of a's slice only
+        pack.write_bytes(bytes(blob))
+        store = ArtifactStore(tmp_path)
+        entries = store.entries_snapshot()  # a frozen view keeps a's entry
+        assert layout_to_fgl(store.load_layout("s/a.fgl", entries=entries)) == loose
+        assert layout_to_fgl(store.load_layout("s/b.fgl", entries=entries)) == packed
+        assert store.stats()["cache_entries"] == 2
+        store.close()
+
     def test_zero_cache_size_still_serves(self, tmp_path):
         store = ArtifactStore(tmp_path, layout_cache_size=0)
         text = fgl_texts(1)[0]

@@ -7,6 +7,9 @@ fixed cells and pin labels), and of ``sidb_layout_to_sqd(
 apply_bestagon(layout))`` for the mux21/xor2 hexagonal exact layouts.
 Each case also checks the ``.fgl`` prefix of its gate-level input, so a
 change in the search shows up as such and not as a cell-level change.
+Every QCA ONE case also goes through the text path the server takes for
+``format=qca`` (``layout_to_fgl`` → :func:`~repro.io.fgl.fgl_to_columns`
+→ :func:`~repro.gatelibs.apply_gate_library`) to the same digest.
 Any rewrite of the gate library compilers or the cell writers must keep
 these bytes.
 """
@@ -16,8 +19,8 @@ import hashlib
 import pytest
 
 from repro.benchsuite import get_benchmark
-from repro.gatelibs import apply_bestagon, apply_qca_one
-from repro.io.fgl import layout_to_fgl
+from repro.gatelibs import apply_bestagon, apply_gate_library, apply_qca_one
+from repro.io.fgl import fgl_to_columns, layout_to_fgl
 from repro.io.qca import cell_layout_to_qca
 from repro.io.sqd import sidb_layout_to_sqd
 from repro.networks import decompose_to_aoig, prepare_for_layout
@@ -91,3 +94,7 @@ def test_cell_bytes_are_golden(network, flow):
     assert hashlib.sha256(layout_to_fgl(layout).encode()).hexdigest().startswith(fgl_prefix)
     text = _cell_text(layout, flow)
     assert hashlib.sha256(text.encode()).hexdigest() == cell_digest
+    if flow != "hex":
+        columns = fgl_to_columns(layout_to_fgl(layout))
+        served = cell_layout_to_qca(apply_gate_library(columns, "QCA ONE"))
+        assert hashlib.sha256(served.encode()).hexdigest() == cell_digest

@@ -1,10 +1,13 @@
 """Tests for the QCA ONE gate library application."""
 
+import hashlib
+
 import pytest
 
 from repro.celllayout import QCACellType
 from repro.gatelibs import QCAOneError, apply_gate_library, apply_qca_one
 from repro.gatelibs.qca_one import TILE_SIZE, side_of
+from repro.io.fgl import fgl_to_columns, fgl_to_layout, layout_to_fgl
 from repro.layout import GateLayout, TWODDWAVE, Tile
 from repro.networks import GateType
 from repro.networks.library import full_adder, mux21
@@ -85,12 +88,18 @@ class TestApplication:
         with pytest.raises(QCAOneError, match="decompose"):
             apply_qca_one(lay)
 
-    def test_cells_and_zones_keep_the_reference_order(self):
-        layout = orthogonal_layout(full_adder()).layout
-        fast = apply_qca_one(layout)
-        reference = apply_qca_one(layout, engine="reference")
-        assert list(fast.cells.items()) == list(reference.cells.items())
-        assert list(fast.zones.items()) == list(reference.zones.items())
+    def test_cells_and_zones_keep_the_golden_order(self):
+        """The cell and zone dicts, in insertion order, as the retired
+        per-tile reference compile built them."""
+        cells = apply_qca_one(orthogonal_layout(full_adder()).layout)
+        items = repr([(p, c.cell_type.value, c.label) for p, c in cells.cells.items()])
+        assert hashlib.sha256(items.encode()).hexdigest() == (
+            "87719c33ee49e034fc468015f3bf76adeb418cc15c4b08b11e1bedfda933a50a"
+        )
+        zones = repr(list(cells.zones.items()))
+        assert hashlib.sha256(zones.encode()).hexdigest() == (
+            "94021e9bbec7812305198a6127c4778e870d9cc819748fceccae2844d2db1ce9"
+        )
 
 
 def _skipping_layout(crossing: bool) -> GateLayout:
@@ -109,11 +118,27 @@ def _skipping_layout(crossing: bool) -> GateLayout:
 
 
 class TestAdjacency:
-    @pytest.mark.parametrize("crossing", [False, True], ids=["ground", "crossing"])
-    @pytest.mark.parametrize("engine", ["blocks", "reference"])
-    def test_non_adjacent_neighbour_rejected(self, crossing, engine):
-        with pytest.raises(QCAOneError, match="not adjacent"):
-            apply_qca_one(_skipping_layout(crossing), engine=engine)
+    @pytest.mark.parametrize(
+        "crossing, message",
+        [
+            (False, "tiles (3,1,0) and (0,2,0) are not adjacent"),
+            (True, "tiles (1,1,0) and (3,1,0) are not adjacent"),
+        ],
+        ids=["ground", "crossing"],
+    )
+    def test_non_adjacent_neighbour_rejected(self, crossing, message):
+        layout = _skipping_layout(crossing)
+        with pytest.raises(QCAOneError) as raised:
+            apply_qca_one(layout)
+        assert str(raised.value) == message
+        # The text lists the gates in its own order, which decides the
+        # first neighbour reported: the same one as for its layout.
+        text = layout_to_fgl(layout)
+        with pytest.raises(QCAOneError) as from_layout:
+            apply_qca_one(fgl_to_layout(text))
+        with pytest.raises(QCAOneError) as from_text:
+            apply_qca_one(fgl_to_columns(text))
+        assert str(from_text.value) == str(from_layout.value)
 
 
 class TestDispatcher:

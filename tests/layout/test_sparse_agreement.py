@@ -2,8 +2,8 @@
 
 Every engine pair introduced by the large-circuit fast path — the
 sparse walk vs. the dense grid scan, wire-segment decomposition,
-metrics, DRC, layout→network extraction, block-stamped cell compilation
-and the streaming serialisers — is exercised on random ortho layouts
+metrics, DRC, layout→network extraction and the streaming serialisers
+— is exercised on random ortho layouts
 (including crossing-heavy ones) plus the degenerate shapes the raster
 order must still agree on: empty layouts, a single tile, and layouts
 large enough to switch to the sparse grid backend.
@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.gatelibs.qca_one import apply_qca_one
+from repro.io.fgl import fgl_to_columns, layout_to_fgl
 from repro.io.qca import cell_layout_to_qca
 from repro.layout import TWODDWAVE, GateLayout, Tile, check_layout
 from repro.layout.gate_layout import DENSE_AREA_LIMIT
@@ -114,14 +115,17 @@ def test_sparse_backend_layout_agrees(rng):
 
 
 def test_cell_compile_and_writers_agree(rng):
+    """The compile of a layout equals the compile of its ``.fgl`` text's
+    columns (the cell goldens pin both against the retired per-tile
+    reference), and the streaming writer its reference writer."""
     for index in range(4):
         layout = _random_layout(rng, 200 + index, compact=bool(index % 2))
-        fast = apply_qca_one(layout, engine="blocks")
-        reference = apply_qca_one(layout, engine="reference")
-        assert fast.cells == reference.cells
-        assert fast.zones == reference.zones
-        assert cell_layout_to_qca(fast, engine="stream") == cell_layout_to_qca(
-            reference, engine="reference"
+        cells = apply_qca_one(layout)
+        from_text = apply_qca_one(fgl_to_columns(layout_to_fgl(layout)))
+        assert cells.cells == from_text.cells
+        assert cells.zones == from_text.zones
+        assert cell_layout_to_qca(cells, engine="stream") == cell_layout_to_qca(
+            cells, engine="reference"
         )
 
 
@@ -133,5 +137,3 @@ def test_unknown_engines_rejected(and_layout):
         check_layout(layout, engine="nope")
     with pytest.raises(ValueError):
         layout.extract_network(engine="nope")
-    with pytest.raises(ValueError):
-        apply_qca_one(layout, engine="nope")

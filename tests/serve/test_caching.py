@@ -11,6 +11,9 @@ import gzip
 import json
 import zlib
 
+import repro.serve.handlers as handlers_module
+from repro.core import SnapshotManager
+from repro.serve.handlers import BenchService, Request
 from repro.serve.http_utils import (
     MIN_COMPRESS_SIZE,
     GzipEncoder,
@@ -180,6 +183,45 @@ def test_lru_cache_eviction_and_stats():
     stats = cache.stats()
     assert stats["entries"] == 2
     assert stats["hits"] == 3 and stats["misses"] == 1
+
+
+def test_lru_cache_evicts_by_bytes():
+    cache = LruCache(10, maxbytes=10)
+    cache.put("a", b"1234")
+    cache.put("b", b"5678")
+    assert cache.get("a") == b"1234"  # "b" is now least recently used
+    cache.put("c", b"90ab")  # 12 bytes: evicts "b"
+    assert cache.get("b") is None
+    assert cache.get("a") == b"1234" and cache.get("c") == b"90ab"
+    cache.put("a", b"1")  # a replaced value gives its bytes back
+    assert cache.stats()["bytes"] == 5 and len(cache) == 2
+
+
+def test_lru_cache_skips_values_over_the_byte_bound():
+    cache = LruCache(10, maxbytes=10)
+    cache.put("small", b"12345")
+    cache.put("large", b"x" * 11)  # served by the caller, never cached
+    assert cache.get("large") is None
+    assert cache.get("small") == b"12345"
+    assert cache.stats()["bytes"] == 5
+
+
+def test_oversized_cell_level_body_is_served_uncached(serve_db_root, monkeypatch):
+    """A body over the render cache's byte bound is rendered on every
+    request and never evicts what the cache holds."""
+    monkeypatch.setattr(handlers_module, "DEFAULT_RENDER_CACHE_BYTES", 100)
+    service = BenchService(SnapshotManager(serve_db_root, check_interval=0.0))
+    record = next(
+        r for r in service.manager.current().records if r.gate_library == "QCA ONE"
+    )
+    request = Request("GET", f"/v1/artifact/{record.path}", {"format": ["qca"]}, {})
+    first = service.handle(request)
+    second = service.handle(request)
+    assert first.status == second.status == 200
+    assert len(first.body) > 100 and first.body == second.body
+    assert len(service.render_cache) == 0
+    assert service.render_cache.stats()["misses"] == 2
+    service.manager.close()
 
 
 def test_gzip_encoder_caches_by_etag():

@@ -219,8 +219,10 @@ def test_database_warm_counters(private_root):
 def test_warm_server_serves_layouts_without_reparsing(
     private_root, monkeypatch
 ):
-    """After ``--warm``, cell-level requests come from the parsed-layout
-    LRU: breaking the parser must not break serving."""
+    """``--warm`` parses the artifacts whose cell-level download loads a
+    layout (Bestagon, ``format=sqd``) and only those; their requests then
+    come from the parsed-layout LRU: breaking the parser must not break
+    serving."""
     server = make_server(
         ServeConfig(database=private_root, port=0, warm=True, check_interval=0.0)
     )
@@ -236,16 +238,18 @@ def test_warm_server_serves_layouts_without_reparsing(
     record = next(
         r
         for r in server.manager.current().records
-        if r.gate_library == "QCA ONE"
+        if r.gate_library == "Bestagon"
     )
     conn = http.client.HTTPConnection(host, port, timeout=10)
     try:
-        conn.request("GET", f"/v1/artifact/{record.path}?format=qca")
+        conn.request("GET", f"/v1/artifact/{record.path}?format=sqd")
         response = conn.getresponse()
         body = response.read()
         assert response.status == 200
-        assert b"[TYPE:QCADCell]" in body
-        assert server.service.counters["layouts_warmed"] == 12
+        assert b"<siqad>" in body
+        assert server.service.counters["layouts_warmed"] == 4
+        assert server.service.counters["warm_failures"] == 0
+        assert server.manager.store.stats()["cache_entries"] == 4
     finally:
         conn.close()
         server.close()
