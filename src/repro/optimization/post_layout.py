@@ -13,29 +13,19 @@ is kept only when it reduces the cost ``(bounding-box area, total wire
 tiles, Σ gate x+y)``; otherwise the layout is restored from the recorded
 wiring.  Multiple passes run until a fixpoint or the pass limit.
 
-Two engines implement the same descent:
-
-* the **incremental** engine (default) maintains a persistent
-  connection index (driver→consumer wire traces, invalidated only for
-  tiles touched by an applied move), evaluates candidate relocations by
-  *delta cost* — on 2DDWave every admissible route is a monotone
-  east/south staircase, so a move's post-reroute wiring cost is pure
-  geometry and only feasibility needs the router — skips gates whose
-  entire read neighbourhood is clean since their last failed attempt,
-  and routes with target-dominance pruning
-  (:class:`~repro.physical_design.routing.RoutingOptions.prune_dominated`)
-  over the shared router arena;
-* the **reference** engine
-  (``PostLayoutParams(engine="reference")``) is the original
-  whole-layout re-trace-and-reroute implementation, retained as the
-  benchmark baseline and as the oracle the fuzz harness checks the
-  incremental engine against (see
-  :func:`repro.qa.oracles.check_plo_agreement`).
-
-Both engines accept exactly the same moves in the same order, so given
-the same inputs and no timeout they produce identical layouts; the
-differential oracle and ``benchmarks/bench_optimization.py`` pin this
-down.
+The descent is incremental.  A persistent connection index keeps the
+driver→consumer wire traces and invalidates them only for tiles an
+applied move touched.  Candidate relocations are rated by *delta cost*:
+on 2DDWave every admissible route is a monotone east/south staircase,
+so a move's post-reroute wiring cost is pure geometry and only
+feasibility needs the router.  Gates whose whole read neighbourhood is
+unchanged since their last failed attempt are skipped, and routes use
+target-dominance pruning
+(:class:`~repro.physical_design.routing.RoutingOptions.prune_dominated`)
+over the shared router arena.  The published method's separate reroute
+pass ("wire deletion") cannot shorten a monotone chain, so it is not
+run.  ``tests/optimization/test_plo_golden.py`` pins the bytes the
+descent produces.
 """
 
 from __future__ import annotations
@@ -67,10 +57,6 @@ class PostLayoutParams:
     routing: RoutingOptions = field(
         default_factory=lambda: RoutingOptions(crossing_penalty=1)
     )
-    #: ``"incremental"`` (connection index + delta cost + dirty-set
-    #: scheduling) or ``"reference"`` (original full re-trace/reroute
-    #: implementation, kept as baseline and differential oracle).
-    engine: str = "incremental"
 
 
 @dataclass
@@ -84,13 +70,11 @@ class PostLayoutResult:
     area_before: int
     area_after: int
     #: Global cost tuple ``(bounding-box area, wire tiles, Σ gate x+y)``
-    #: before/after the pass.  The incremental engine maintains it by
-    #: O(changed-tiles) deltas; the reference engine recomputes it.
+    #: before/after the pass, maintained by O(changed-tiles) deltas.
     cost_before: tuple[int, int, int] | None = None
     cost_after: tuple[int, int, int] | None = None
     #: Relocation attempts skipped because the gate's read neighbourhood
-    #: was provably unchanged since its last failed attempt
-    #: (incremental engine only).
+    #: was provably unchanged since its last failed attempt.
     gates_skipped: int = 0
 
     @property
@@ -111,24 +95,6 @@ class _Connection:
     path: list[Tile]
 
 
-def layout_cost(layout: GateLayout) -> tuple[int, int, int]:
-    """The PLO cost tuple, recomputed from scratch.
-
-    ``(bounding-box area, wire tiles, Σ x+y over non-wire elements)`` —
-    the quantity both engines descend on and the differential oracle
-    compares.
-    """
-    width, height = layout.bounding_box()
-    wires = 0
-    position_sum = 0
-    for tile, gate in layout.tiles():
-        if gate.is_wire:
-            wires += 1
-        else:
-            position_sum += tile.x + tile.y
-    return (width * height, wires, position_sum)
-
-
 def post_layout_optimization(
     layout: GateLayout, params: PostLayoutParams | None = None
 ) -> PostLayoutResult:
@@ -141,16 +107,9 @@ def post_layout_optimization(
             f"got {layout.scheme.name}"
         )
     params = params or PostLayoutParams()
-    if params.engine not in ("incremental", "reference"):
-        raise ValueError(f"unknown PLO engine {params.engine!r}")
     started = time.monotonic()
     deadline = None if params.timeout is None else started + params.timeout
-
-    if params.engine == "reference":
-        result = _optimize_reference(layout, params, deadline)
-    else:
-        result = _optimize_incremental(layout, params, deadline)
-    passes, moves, skipped, cost_before, cost_after = result
+    passes, moves, skipped, cost_before, cost_after = _optimize(layout, params, deadline)
 
     layout.shrink_to_fit()
     return PostLayoutResult(
@@ -166,158 +125,15 @@ def post_layout_optimization(
     )
 
 
-# -- reference engine ------------------------------------------------------------------
-#
-# The original implementation: every pass re-traces every gate's wiring
-# from scratch and rates candidate moves by speculatively rerouting.
-# Kept verbatim (modulo the shared helpers below) as the benchmark
-# baseline and the oracle reference.
-
-
-def _optimize_reference(layout, params, deadline):
-    cost_before = layout_cost(layout)
-    moves = 0
-    passes = 0
-    for _ in range(params.max_passes):
-        passes += 1
-        changed = _reroute_pass(layout, params, deadline)
-        changed += _pass(layout, params, deadline)
-        moves += changed
-        if not changed or (deadline and time.monotonic() > deadline):
-            break
-    return passes, moves, 0, cost_before, layout_cost(layout)
-
-
-def _reroute_pass(layout: GateLayout, params: PostLayoutParams, deadline: float | None) -> int:
-    """Replace detoured wire chains with shortest reroutes (wire deletion)."""
-    improved = 0
-    anchors = sorted(
-        (
-            tile
-            for tile, gate in layout.tiles()
-            if not gate.is_wire and tile.z == 0
-        ),
-        key=lambda t: (t.x + t.y, t),
-    )
-    for tile in anchors:
-        if deadline and time.monotonic() > deadline:
-            break
-        if not layout.is_occupied(tile):
-            continue
-        for conn in _trace_forward(layout, tile):
-            if len(conn.path) <= 1:
-                continue
-            consumer_gate = layout.get(conn.consumer)
-            if consumer_gate is None:
-                continue
-            if _strands_crossing(layout, conn.path):
-                continue
-            old_ref = conn.path[-1]
-            layout.replace_fanin(conn.consumer, old_ref, _SENTINEL)
-            for wire in reversed(conn.path):
-                layout.remove(wire)
-            other_refs = [f for f in layout.get(conn.consumer).fanins if f != _SENTINEL]
-            options = RoutingOptions(
-                allow_crossings=params.routing.allow_crossings,
-                crossing_penalty=params.routing.crossing_penalty,
-                max_expansions=4000,
-                avoid=frozenset(
-                    {r.ground for r in other_refs} | {r.above for r in other_refs}
-                ),
-                prune_dominated=params.routing.prune_dominated,
-            )
-            path = find_path(layout, tile, conn.consumer, options)
-            accept = (
-                path is not None
-                and len(path) - 2 < len(conn.path)
-                and not (len(path) >= 2 and path[-2].ground in {r.ground for r in other_refs})
-            )
-            if accept:
-                previous = path[0]
-                for pos in path[1:-1]:
-                    layout.create_wire(pos, previous)
-                    previous = pos
-                layout.replace_fanin(conn.consumer, _SENTINEL, previous)
-                improved += 1
-            else:
-                previous = tile
-                for pos in conn.path:
-                    layout.create_wire(pos, previous)
-                    previous = pos
-                layout.replace_fanin(conn.consumer, _SENTINEL, previous)
-    return improved
-
-
-def _pass(layout: GateLayout, params: PostLayoutParams, deadline: float | None) -> int:
-    """One sweep over all movable elements; returns accepted move count."""
-    moves = 0
-    for tile in _movable_tiles(layout):
-        if deadline and time.monotonic() > deadline:
-            break
-        if not layout.is_occupied(tile):
-            continue  # may have been rewired by an earlier move
-        moves += _try_improve(layout, tile, params)
-    return moves
-
-
-def _movable_tiles(layout: GateLayout) -> list[Tile]:
-    # Gates closest to the origin first, so room opens up progressively
-    # for the ones behind them.
-    return [
-        tile
-        for tile, gate in sorted(layout.tiles(), key=lambda tg: (tg[0].x + tg[0].y, tg[0]))
-        if not gate.is_pi and not gate.is_wire
-    ]
-
-
-def _try_improve(layout: GateLayout, tile: Tile, params: PostLayoutParams) -> bool:
-    """Try relocating the element on ``tile`` closer to the origin."""
-    incoming = [_trace_back(layout, ref) for ref in layout.get(tile).fanins]
-    outgoing = _trace_forward(layout, tile)
-    removed = [tile] + [w for c in incoming + outgoing for w in c.path]
-    if _strands_crossing(layout, removed):
-        return False
-
-    min_x = max((c.driver.x for c in incoming), default=0)
-    min_y = max((c.driver.y for c in incoming), default=0)
-    candidates = _move_candidates(tile, min_x, min_y)
-    if not candidates:
-        return False
-
-    # POs are re-created during the move; remember the interface index so
-    # the layout's output order — and thus its function — is preserved.
-    po_index = layout.pos().index(tile) if layout.get(tile).is_po else None
-
-    gate = _detach(layout, tile, incoming, outgoing)
-    for candidate in candidates:
-        if layout.is_occupied(candidate):
-            continue
-        if _attach(layout, gate, candidate, incoming, outgoing, params.routing) is not None:
-            old_cost = sum(len(c.path) for c in incoming) + sum(
-                len(c.path) for c in outgoing
-            ) + (tile.x + tile.y)
-            new_cost = _wiring_cost(layout, candidate) + (candidate.x + candidate.y)
-            if new_cost < old_cost:
-                _restore_po_index(layout, candidate, po_index)
-                return True
-            _detach_at(layout, candidate)
-            continue
-    # No improving candidate: restore the original spot verbatim.
-    if _attach_verbatim(layout, gate, tile, incoming, outgoing) is None:
-        raise RuntimeError("PLO failed to restore a layout it modified")
-    _restore_po_index(layout, tile, po_index)
-    return False
-
-
-# -- incremental engine ----------------------------------------------------------------
+# -- the descent -----------------------------------------------------------------------
 #
 # Three observations make PLO incremental on 2DDWave:
 #
 # 1. Every admissible wire path is a monotone east/south staircase, so
 #    any two chains between the same endpoints have the same length.
-#    The reference reroute pass ("wire deletion") can therefore never
-#    find a shorter chain — it is a provable no-op and is skipped — and
-#    a candidate relocation's post-reroute wiring cost is known *before
+#    A reroute pass ("wire deletion") can therefore never find a
+#    shorter chain — it is a provable no-op and is not run — and a
+#    candidate relocation's post-reroute wiring cost is known *before
 #    routing*: only feasibility needs the router.
 # 2. A relocation attempt reads only a bounded neighbourhood: the
 #    bounding rectangle of the gate, its effective drivers and
@@ -376,9 +192,8 @@ class _ConnectionIndex:
     The whole index is built by ONE sweep over the layout: every wire
     chain is walked exactly once from its driving anchor, and each
     movable gate's entry is assembled from the shared connection
-    objects — against the per-gate re-tracing of the reference engine,
-    which walks every chain twice (once from each end) for every gate
-    on every pass.
+    objects, instead of re-tracing every chain from both ends for every
+    gate on every pass.
 
     ``commit`` records the ground coordinates touched by an applied
     move under a monotonically increasing sequence number; an entry (or
@@ -410,8 +225,9 @@ class _ConnectionIndex:
         #: tile -> (seq, rect) of the gate's last failed attempt.
         self._failures: dict[Tile, tuple[int, tuple[int, int, int, int]]] = {}
         #: Current positions of all movable (non-PI, non-wire) elements,
-        #: maintained sorted by ``(x + y, tile)`` — the sweep order the
-        #: reference engine re-derives from a full layout scan per pass.
+        #: maintained sorted by ``(x + y, tile)``: the sweep order, gates
+        #: closest to the origin first, so room opens up progressively
+        #: for the ones behind them.
         self.order: list[tuple[int, Tile]] = []
         self._build_all()
 
@@ -736,13 +552,13 @@ class _CostTracker:
 @functools.lru_cache(maxsize=8)
 def _pruned_options(routing: RoutingOptions) -> RoutingOptions:
     """``routing`` with dominance pruning on (cached: it never changes
-    returned paths on 2DDWave, so the incremental engine always prunes)."""
+    returned paths on 2DDWave, so PLO always prunes)."""
     if routing.prune_dominated:
         return routing
     return replace(routing, prune_dominated=True)
 
 
-def _optimize_incremental(layout, params, deadline):
+def _optimize(layout, params, deadline):
     index = _ConnectionIndex(layout)
     tracker = _CostTracker(layout)
     cost_before = tracker.cost()
@@ -755,8 +571,7 @@ def _optimize_incremental(layout, params, deadline):
         passes += 1
         changed = 0
         # Snapshot of the maintained sweep order: mid-pass moves mutate
-        # it, but the reference engine likewise materialises its scan
-        # before the pass starts.
+        # it, but a pass visits the gates as they stood when it started.
         for _, tile in list(index.order):
             if deadline and time.monotonic() > deadline:
                 break
@@ -765,36 +580,31 @@ def _optimize_incremental(layout, params, deadline):
             if index.clean_since_failure(tile):
                 skipped += 1
                 continue
-            changed += _try_improve_incremental(
-                layout, tile, routing, index, tracker
-            )
+            changed += _try_improve(layout, tile, routing, index, tracker)
         moves += changed
         if not changed or (deadline and time.monotonic() > deadline):
             break
     return passes, moves, skipped, cost_before, tracker.cost()
 
 
-def _try_improve_incremental(layout, tile, routing, index, tracker) -> bool:
-    """`_try_improve` with cached traces and delta-cost gating.
+def _try_improve(layout, tile, routing, index, tracker) -> bool:
+    """Try relocating the element on ``tile`` closer to the origin.
 
-    The accept/reject decision depends only on connection *endpoints*
-    (monotone routing fixes every chain length at manhattan distance −
-    1), so for the common no-improvement case this touches nothing but
-    the cached entry's integers — no tracing, no detach, no routing,
-    not even a Tile allocation.  The checks run in a different order
-    than the reference engine's, but every reordered check is
-    side-effect free and rejecting, so the engines still accept
-    identical moves.
+    Candidates are tried in a fixed order: jumps right behind the fanin
+    frontier first (they realise most of PLO's area win in one step),
+    then small step offsets for fine compaction.  The first candidate
+    that routes and lowers the cost is applied.  That decision depends
+    only on connection *endpoints* (monotone routing fixes every chain
+    length at manhattan distance − 1), so for the common no-improvement
+    case this touches nothing but the cached entry's integers — no
+    tracing, no detach, no routing, not even a Tile allocation.
     """
     entry = index.entry(tile)
     incoming, outgoing = entry.incoming, entry.outgoing
     min_x, min_y = entry.min_x, entry.min_y
     tx, ty = tile.x, tile.y
-    # `_move_candidates(tile, min_x, min_y)` inlined against the cached
-    # geometry: keep only candidates the linear delta cost proves
-    # improving and feasible — for the rest the reference engine would
-    # speculatively reroute and then reject on cost, so dropping them
-    # up front elides only no-ops.
+    # Keep only candidates the linear delta cost proves improving and
+    # feasible: the others would reroute only to be rejected on cost.
     old_sum = tx + ty
     mcx, mcy, k, c0, old_cost = entry.mcx, entry.mcy, entry.k, entry.c0, entry.old_cost
     viable: list[Tile] = []
@@ -835,9 +645,8 @@ def _try_improve_incremental(layout, tile, routing, index, tracker) -> bool:
         w for c in outgoing for w in c.path
     ]
     # Candidates occupied by anything the detach would not free stay
-    # occupied after it, so the reference engine skips them inside its
-    # detach/restore cycle; filtering them here elides that cycle when
-    # nothing attemptable remains.
+    # occupied after it; filtering them here skips the detach/restore
+    # cycle when nothing attemptable remains.
     tiles_map = layout._tiles
     freed = set(old_wires)
     viable = [c for c in viable if c not in tiles_map or c in freed]
@@ -858,8 +667,7 @@ def _try_improve_incremental(layout, tile, routing, index, tracker) -> bool:
         if attached is None:
             continue
         placed, in_paths, out_paths = attached
-        # Feasible and (by delta cost) improving: the reference engine
-        # accepts exactly this candidate.
+        # Feasible and (by delta cost) improving: apply it.
         _restore_po_index(layout, candidate, po_index)
         drivers = [c.driver for c in incoming]
         consumers = [c.consumer for c in outgoing]
@@ -911,85 +719,6 @@ def _restore_po_index(layout: GateLayout, tile: Tile, po_index: int | None) -> N
         return
     layout._pos.remove(tile)
     layout._pos.insert(po_index, tile)
-
-
-def _move_candidates(tile: Tile, min_x: int, min_y: int) -> list[Tile]:
-    """Positions north-west of ``tile`` that still dominate the drivers.
-
-    Aggressive jumps right behind the fanin frontier come first (they
-    realise most of PLO's area win in one step); small step offsets
-    follow for fine compaction.
-    """
-    jumps = [
-        (min_x, min_y),
-        (min_x + 1, min_y),
-        (min_x, min_y + 1),
-        (min_x + 1, min_y + 1),
-        ((min_x + tile.x) // 2, (min_y + tile.y) // 2),
-    ]
-    steps = [
-        (tile.x - 1, tile.y - 1),
-        (tile.x - 1, tile.y),
-        (tile.x, tile.y - 1),
-        (tile.x - 2, tile.y - 2),
-        (tile.x - 2, tile.y - 1),
-        (tile.x - 1, tile.y - 2),
-    ]
-    out = []
-    seen = set()
-    for x, y in jumps + steps:
-        if x < min_x or y < min_y or x < 0 or y < 0:
-            continue
-        if (x, y) == (tile.x, tile.y) or (x, y) in seen:
-            continue
-        if x + y >= tile.x + tile.y:
-            continue
-        seen.add((x, y))
-        out.append(Tile(x, y))
-    return out
-
-
-def _trace_back(layout: GateLayout, ref: Tile) -> _Connection:
-    """Walk a fanin reference back through its wire chain to the driver."""
-    path: list[Tile] = []
-    current = ref
-    while True:
-        gate = layout.get(current)
-        assert gate is not None
-        if gate.gate_type is not GateType.BUF:
-            break
-        if layout.fanout_degree(current) > 1:
-            break  # shared wire: treat as the effective driver
-        path.append(current)
-        current = gate.fanins[0]
-    path.reverse()
-    return _Connection(current, Tile(-1, -1), path)
-
-
-def _trace_forward(layout: GateLayout, tile: Tile) -> list[_Connection]:
-    """All outgoing connections of ``tile`` through their wire chains.
-
-    Readers are visited in tile order, not reader-list order: the
-    reader bookkeeping reorders its lists when wiring is detached and
-    restored, and a canonical order is what lets the incremental engine
-    replay the reference engine's decisions exactly.
-    """
-    connections = []
-    for reader in sorted(layout.readers(tile)):
-        path = []
-        current = reader
-        while True:
-            gate = layout.get(current)
-            assert gate is not None
-            if gate.gate_type is not GateType.BUF or layout.fanout_degree(current) > 1:
-                break
-            path.append(current)
-            nxt = layout.readers(current)
-            if len(nxt) != 1:
-                break
-            current = nxt[0]
-        connections.append(_Connection(tile, current, path))
-    return connections
 
 
 def _strands_crossing(layout: GateLayout, removed: list[Tile]) -> bool:
@@ -1048,9 +777,8 @@ def _attach(
 
     Returns ``(placed, in_paths, out_paths)`` on success — all wire
     positions placed plus the new chain of each incoming/outgoing
-    connection in order (the incremental engine rebuilds the moved
-    gate's index entry from these without re-tracing) — or ``None`` on
-    failure.
+    connection in order (PLO rebuilds the moved gate's index entry from
+    these without re-tracing) — or ``None`` on failure.
     """
     refs = []
     placed_wires: list[Tile] = []
@@ -1146,20 +874,6 @@ def _attach_verbatim(
             previous = pos
         layout.replace_fanin(conn.consumer, _SENTINEL, previous)
     return restored
-
-
-def _detach_at(layout: GateLayout, tile: Tile) -> None:
-    """Undo a just-committed `_attach` at ``tile`` (cost not improved)."""
-    incoming = [_trace_back(layout, ref) for ref in layout.get(tile).fanins]
-    outgoing = _trace_forward(layout, tile)
-    _detach(layout, tile, incoming, outgoing)
-    # Caller restores verbatim at the original position afterwards.
-
-
-def _wiring_cost(layout: GateLayout, tile: Tile) -> int:
-    incoming = [_trace_back(layout, ref) for ref in layout.get(tile).fanins]
-    outgoing = _trace_forward(layout, tile)
-    return sum(len(c.path) for c in incoming) + sum(len(c.path) for c in outgoing)
 
 
 def _create_element(layout: GateLayout, gate, tile: Tile, refs) -> None:

@@ -28,12 +28,11 @@ routes collide even though smarter wiring existed.  In practice this
 costs at most a tile or two of area on the benchmark set while keeping
 pure-Python runtimes tractable.
 
-With ``ExactParams.optimized`` (the default) the search runs on the fast
-physical-design core.  It places, routes and backtracks on a flat
-search-local state (:class:`_SearchState`) with O(1) snapshot/rollback
-instead of a :class:`GateLayout` with remove-and-unroute.  Positions,
-wires and fanin refs are flat ``z * width * height + y * width + x``
-indices throughout: routes come straight from the index-level A* kernel
+The search places, routes and backtracks on a flat search-local state
+(:class:`_SearchState`) with O(1) snapshot/rollback instead of a
+:class:`GateLayout` with remove-and-unroute.  Positions, wires and fanin
+refs are flat ``z * width * height + y * width + x`` indices throughout:
+routes come straight from the index-level A* kernel
 (:func:`~repro.physical_design.routing._astar`), the undo log records
 indices, and the reachability memo is keyed by ground index.  ``Tile``
 objects are built only when a ratio succeeds, by replaying the
@@ -52,10 +51,6 @@ surviving log into the returned ``GateLayout``.  The pruning on top:
 * reachability floods memoized by the state's occupancy hash;
 * chain windows on monotone schemes (2DDWave/ROW);
 * first-placement transpose symmetry breaking on square 2DDWave grids.
-
-``optimized=False`` reproduces the original (pre-optimization) search
-behaviour on a ``GateLayout`` and serves as the benchmark baseline; it
-refutes nothing, so it stays an independent oracle.
 """
 
 from __future__ import annotations
@@ -70,14 +65,7 @@ from ..layout.coordinates import Tile, Topology
 from ..layout.gate_layout import GateLayout, LayoutGate
 from ..networks.logic_network import GateType, LogicNetwork
 from ..networks.transforms import decompose_to_aoig, prepare_for_layout
-from .routing import (
-    RoutingOptions,
-    _arena_for,
-    _astar,
-    _successor_table,
-    find_path,
-    unroute,
-)
+from .routing import RoutingOptions, _arena_for, _astar, _successor_table
 
 
 @dataclass
@@ -110,11 +98,6 @@ class ExactParams:
     #: schemes (USE/RES/ESR) tractable at the cost of exactness, which
     #: DESIGN.md documents as part of the SMT-solver substitution.
     candidate_cap: int | None = 16
-    #: Run on the fast physical-design core (flat search state with O(1)
-    #: rollback, arena A*, memoized reachability, lower-bound/dead-signal/
-    #: chain-window pruning, symmetry breaking).  Turn off to reproduce
-    #: the original search on a ``GateLayout`` as a benchmark baseline.
-    optimized: bool = True
     routing: RoutingOptions = field(default_factory=lambda: RoutingOptions(crossing_penalty=1))
 
 
@@ -380,16 +363,14 @@ def exact_layout(network: LogicNetwork, params: ExactParams | None = None) -> Ex
     ntk = prepare_for_layout(decompose_to_aoig(network, params.keep_two_input))
     elements = _search_order(ntk)
     ratios = _aspect_ratios(params, len(elements))
-    filtered = 0
-    if params.optimized:
-        profile = _network_profile(ntk, elements)
-        kept = [
-            (w, h)
-            for w, h in ratios
-            if _ratio_feasible(params.scheme, params.topology, w, h, profile, params.border_io)
-        ]
-        filtered = len(ratios) - len(kept)
-        ratios = kept
+    profile = _network_profile(ntk, elements)
+    kept = [
+        (w, h)
+        for w, h in ratios
+        if _ratio_feasible(params.scheme, params.topology, w, h, profile, params.border_io)
+    ]
+    filtered = len(ratios) - len(kept)
+    ratios = kept
     stats = ExactSearchStats(
         dimensions_total=len(ratios) + filtered, dimensions_filtered=filtered
     )
@@ -399,7 +380,7 @@ def exact_layout(network: LogicNetwork, params: ExactParams | None = None) -> Ex
         if time.monotonic() > deadline:
             timed_out = True
             break
-        if params.optimized and _Relaxation(ntk, elements, width, height, params).refutes():
+        if _Relaxation(ntk, elements, width, height, params).refutes():
             stats.dimensions_filtered += 1
             continue
         stats.dimensions_explored += 1
@@ -723,7 +704,7 @@ _ELEMENT = LayoutGate(GateType.PI)
 
 
 class _SearchState:
-    """Occupancy of one aspect ratio during the optimized search.
+    """Occupancy of one aspect ratio during the search.
 
     Stands in for :class:`GateLayout` on flat integer positions: a
     position is ``z * width * height + y * width + x``, the node index
@@ -881,21 +862,19 @@ class _Searcher:
     ):
         self.ntk = ntk
         self.elements = elements
-        self.optimized = params.optimized
-        if self.optimized:
-            layout = _SearchState(width, height, params.scheme, params.topology)
-        else:
-            layout = GateLayout(width, height, params.scheme, params.topology, ntk.name)
+        layout = _SearchState(width, height, params.scheme, params.topology)
         self.layout = layout
         self.params = params
         self.deadline = deadline
         self.position: dict[int, Tile] = {}
-        self.routing = RoutingOptions(
-            allow_crossings=params.routing.allow_crossings,
-            crossing_penalty=params.routing.crossing_penalty,
-            max_length=min(params.max_wire_length, layout.width + layout.height),
-            max_expansions=2000,
-            engine="fast" if self.optimized else "reference",
+        self._allow_cross = params.routing.allow_crossings
+        #: Per-ratio limits of the A* kernel: crossings, crossing penalty,
+        #: cost cap (wire length + 1) and expansions.
+        self._limits = (
+            self._allow_cross,
+            params.routing.crossing_penalty,
+            min(params.max_wire_length, width + height) + 1,
+            2000,
         )
         self._tick = 0
         # Candidate tile orders are placement-independent; compute once
@@ -921,75 +900,59 @@ class _Searcher:
         self._pi_sorted = pi_tiles
         self._gate_orders: dict = {}
         self._po_orders: dict = {}
-        if self.optimized:
-            routing = self.routing
-            #: Per-ratio limits of the A* kernel: crossings, crossing
-            #: penalty, cost cap (wire length + 1) and expansions.
-            self._limits = (
-                routing.allow_crossings,
-                routing.crossing_penalty,
-                routing.max_length + 1,
-                routing.max_expansions,
-            )
-            self._reach_memo: dict = {}
-            # Dead-signal tracking: placed elements that still owe a
-            # connection to an unplaced reader.  If such a signal has no
-            # admissible free outgoing step, no completion exists below
-            # this node (tiles are only added while descending).
-            n_readers: dict[int, int] = {}
-            for kind, payload in elements:
-                if kind == "po":
-                    n_readers[payload[1]] = n_readers.get(payload[1], 0) + 1
-                else:
-                    for f in ntk.node(payload).fanins:
-                        if not ntk.is_constant(f):
-                            n_readers[f] = n_readers.get(f, 0) + 1
-            self._n_readers = n_readers
-            self._owed = dict(n_readers)
-            self._pending: dict[int, Tile] = {}
-            # Suffix counts of border-bound elements (PIs + POs) for the
-            # border-capacity lower bound.
-            n = len(elements)
-            suffix = [0] * (n + 1)
-            for d in range(n - 1, -1, -1):
-                kind, payload = elements[d]
-                is_io = kind == "po" or ntk.node(payload).gate_type is GateType.PI
-                suffix[d] = suffix[d + 1] + (1 if is_io else 0)
-            self._io_suffix = suffix
-            # Transpose symmetry: a square 2DDWave grid maps any layout
-            # to its transpose, so the first PI can be confined to the
-            # lower-left triangle without losing feasibility.
-            self._break_transpose = (
-                layout.scheme is TWODDWAVE
-                and layout.topology is Topology.CARTESIAN
-                and layout.width == layout.height
-            )
-            # Chain windows (monotone schemes): an element with ``a``
-            # chain edges above it and ``b`` below it can only sit where
-            # the monotone axis leaves room for both.  Candidates outside
-            # the window are doomed, so filtering them (after capping)
-            # preserves search outcomes exactly.
-            self._monotone = None
-            if layout.scheme is TWODDWAVE and layout.topology is Topology.CARTESIAN:
-                self._monotone = "diag"
-                self._span = layout.width + layout.height - 2
-            elif layout.scheme is ROW:
-                self._monotone = "row"
-                self._span = layout.height - 1
-            if self._monotone:
-                self._from_pi, self._to_po = _chain_bounds(ntk)
-        else:
-            self._break_transpose = False
-            self._monotone = None
+        self._reach_memo: dict = {}
+        # Dead-signal tracking: placed elements that still owe a
+        # connection to an unplaced reader.  If such a signal has no
+        # admissible free outgoing step, no completion exists below
+        # this node (tiles are only added while descending).
+        n_readers: dict[int, int] = {}
+        for kind, payload in elements:
+            if kind == "po":
+                n_readers[payload[1]] = n_readers.get(payload[1], 0) + 1
+            else:
+                for f in ntk.node(payload).fanins:
+                    if not ntk.is_constant(f):
+                        n_readers[f] = n_readers.get(f, 0) + 1
+        self._n_readers = n_readers
+        self._owed = dict(n_readers)
+        self._pending: dict[int, Tile] = {}
+        # Suffix counts of border-bound elements (PIs + POs) for the
+        # border-capacity lower bound.
+        n = len(elements)
+        suffix = [0] * (n + 1)
+        for d in range(n - 1, -1, -1):
+            kind, payload = elements[d]
+            is_io = kind == "po" or ntk.node(payload).gate_type is GateType.PI
+            suffix[d] = suffix[d + 1] + (1 if is_io else 0)
+        self._io_suffix = suffix
+        # Transpose symmetry: a square 2DDWave grid maps any layout
+        # to its transpose, so the first PI can be confined to the
+        # lower-left triangle without losing feasibility.
+        self._break_transpose = (
+            layout.scheme is TWODDWAVE
+            and layout.topology is Topology.CARTESIAN
+            and layout.width == layout.height
+        )
+        # Chain windows (monotone schemes): an element with ``a``
+        # chain edges above it and ``b`` below it can only sit where
+        # the monotone axis leaves room for both.  Candidates outside
+        # the window are doomed, so filtering them (after capping)
+        # preserves search outcomes exactly.
+        self._monotone = None
+        if layout.scheme is TWODDWAVE and layout.topology is Topology.CARTESIAN:
+            self._monotone = "diag"
+            self._span = layout.width + layout.height - 2
+        elif layout.scheme is ROW:
+            self._monotone = "row"
+            self._span = layout.height - 1
+        if self._monotone:
+            self._from_pi, self._to_po = _chain_bounds(ntk)
 
     def run(self) -> GateLayout | None:
         """Search this aspect ratio; the cropped layout, or ``None``."""
         if not self.search(0):
             return None
-        if self.optimized:
-            return self.layout.materialize(self.ntk.name)
-        self.layout.shrink_to_fit()
-        return self.layout
+        return self.layout.materialize(self.ntk.name)
 
     # -- helpers -----------------------------------------------------------
 
@@ -997,14 +960,6 @@ class _Searcher:
         self._tick += 1
         if self._tick % 64 == 0 and time.monotonic() > self.deadline:
             raise _Timeout
-
-    def _free_tiles_needed(self, depth: int) -> bool:
-        """Prune: every unplaced element needs at least one free tile."""
-        remaining = len(self.elements) - depth
-        free = self.layout.width * self.layout.height - sum(
-            1 for t, _ in self.layout.tiles() if t.z == 0
-        )
-        return free >= remaining
 
     def _free(self, tiles) -> list[Tile]:
         """The unoccupied (ground-layer) tiles of ``tiles``, in order."""
@@ -1052,7 +1007,7 @@ class _Searcher:
         layout = self.layout
         succ = _arena_for(layout).succ
         ground, above = layout._grid
-        allow_cross = self.routing.allow_crossings
+        allow_cross = self._allow_cross
         buf = GateType.BUF
         w = layout.width
         for p in self._pending.values():
@@ -1072,17 +1027,11 @@ class _Searcher:
         self._check_time()
         if depth == len(self.elements):
             return True
-        if self.optimized:
-            if len(self.elements) - depth > self.layout.num_free_ground():
-                return False
-            if (
-                self.params.border_io
-                and self._io_suffix[depth] > self.layout.num_free_border()
-            ):
-                return False
-            if self._pending and self._dead_signal():
-                return False
-        elif not self._free_tiles_needed(depth):
+        if len(self.elements) - depth > self.layout.num_free_ground():
+            return False
+        if self.params.border_io and self._io_suffix[depth] > self.layout.num_free_border():
+            return False
+        if self._pending and self._dead_signal():
             return False
         kind, payload = self.elements[depth]
         if kind == "po":
@@ -1103,19 +1052,15 @@ class _Searcher:
             candidates = self._window(candidates, 0, self._span - self._to_po[uid])
         w = layout.width
         for tile in candidates:
-            mark = layout.snapshot() if self.optimized else None
-            layout.create_pi(tile if mark is None else tile.y * w + tile.x, node.name)
+            mark = layout.snapshot()
+            layout.create_pi(tile.y * w + tile.x, node.name)
             self.position[uid] = tile
-            if mark is not None:
-                self._track_place(uid, (), tile)
+            self._track_place(uid, (), tile)
             if self.search(depth + 1):
                 return True
             del self.position[uid]
-            if mark is not None:
-                self._track_unplace(uid, ())
-                layout.rollback(mark)
-            else:
-                layout.remove(tile)
+            self._track_unplace(uid, ())
+            layout.rollback(mark)
         return False
 
     def _gate_candidates(self, fanins: list[Tile]):
@@ -1156,37 +1101,29 @@ class _Searcher:
             candidates = self._window(
                 candidates, self._from_pi[uid], self._span - self._to_po[uid]
             )
-        if self.optimized:
-            # Reachability flood: a candidate is viable only if every
-            # fanin can reach it at all (over-approximation of the
-            # constrained A*), which kills hopeless A* calls wholesale.
-            w = layout.width
-            for fanin in fanins:
-                reach = self._reachable(fanin.y * w + fanin.x)
-                candidates = [t for t in candidates if t.y * w + t.x in reach]
+        # Reachability flood: a candidate is viable only if every fanin
+        # can reach it at all (over-approximation of the constrained A*),
+        # which kills hopeless A* calls wholesale.
+        w = layout.width
+        for fanin in fanins:
+            reach = self._reachable(fanin.y * w + fanin.x)
+            candidates = [t for t in candidates if t.y * w + t.x in reach]
         for tile in candidates:
             self._check_time()
-            mark = layout.snapshot() if self.optimized else None
-            at = tile if mark is None else tile.y * w + tile.x
+            mark = layout.snapshot()
+            at = tile.y * w + tile.x
             refs = self._route_fanins(fanins, at)
             if refs is None:
-                if mark is not None:
-                    layout.rollback(mark)
+                layout.rollback(mark)
                 continue
             layout.create_gate(node.gate_type, at, refs, node.name)
             self.position[uid] = tile
-            if mark is not None:
-                self._track_place(uid, node.fanins, tile)
+            self._track_place(uid, node.fanins, tile)
             if self.search(depth + 1):
                 return True
             del self.position[uid]
-            if mark is not None:
-                self._track_unplace(uid, node.fanins)
-                layout.rollback(mark)
-            else:
-                layout.remove(tile)
-                for ref, src in zip(refs, fanins):
-                    unroute(layout, ref, src)
+            self._track_unplace(uid, node.fanins)
+            layout.rollback(mark)
         return False
 
     def _place_po(self, depth: int, payload) -> bool:
@@ -1206,29 +1143,22 @@ class _Searcher:
                 capped, self._from_pi.get(signal, 0) + 1, self._span
             )
         w = layout.width
-        if self.optimized:
-            reach = self._reachable(driver.y * w + driver.x)
-            capped = [t for t in capped if t.y * w + t.x in reach]
+        reach = self._reachable(driver.y * w + driver.x)
+        capped = [t for t in capped if t.y * w + t.x in reach]
         for tile in capped:
             self._check_time()
-            mark = layout.snapshot() if self.optimized else None
-            at = tile if mark is None else tile.y * w + tile.x
+            mark = layout.snapshot()
+            at = tile.y * w + tile.x
             refs = self._route_fanins([driver], at)
             if refs is None:
-                if mark is not None:
-                    layout.rollback(mark)
+                layout.rollback(mark)
                 continue
             layout.create_po(at, refs[0], name or f"po{index}")
-            if mark is not None:
-                self._track_place(None, (signal,), None)
+            self._track_place(None, (signal,), None)
             if self.search(depth + 1):
                 return True
-            if mark is not None:
-                self._track_unplace(None, (signal,))
-                layout.rollback(mark)
-            else:
-                layout.remove(tile)
-                unroute(layout, refs[0], driver)
+            self._track_unplace(None, (signal,))
+            layout.rollback(mark)
         return False
 
     def _capped(self, tiles):
@@ -1254,7 +1184,7 @@ class _Searcher:
         layout = self.layout
         succ = _arena_for(layout).succ
         ground, above = layout._grid
-        allow_cross = self.routing.allow_crossings
+        allow_cross = self._allow_cross
         buf = GateType.BUF
         reach: set[int] = set()
         visited = {start}
@@ -1278,16 +1208,12 @@ class _Searcher:
         memo[key] = reach
         return reach
 
-    def _route_fanins(self, fanins: list[Tile], target):
-        """Route all fanins into ``target`` with distinct entry sides.
+    def _route_fanins(self, fanins: list[Tile], target: int) -> list[int] | None:
+        """Route all fanins into ground index ``target`` with distinct entry sides.
 
-        ``target`` and the returned refs (each fanin's last wire, or the
-        fanin itself) are flat indices on the search state and ``Tile``
-        objects on the baseline's ``GateLayout``; ``None`` if a fanin
-        cannot be routed.
+        Returns each fanin's last wire (or the fanin itself) as a flat
+        index; ``None`` if a fanin cannot be routed.
         """
-        if not self.optimized:
-            return self._route_fanins_layout(fanins, target)
         state = self.layout
         w = state.width
         n = w * state.height
@@ -1308,35 +1234,4 @@ class _Searcher:
             refs.append(state.create_wires(path))
             avoid.add(entry)
             avoid.add(entry + n)
-        return refs
-
-    def _route_fanins_layout(self, fanins: list[Tile], target: Tile) -> list[Tile] | None:
-        """The baseline's ``_route_fanins``, on a ``GateLayout``."""
-        refs: list[Tile] = []
-        ends: list[tuple[Tile, Tile]] = []
-        for fanin in fanins:
-            options = self.routing
-            if refs:
-                taken = frozenset({r.ground for r in refs} | {r.above for r in refs})
-                options = RoutingOptions(
-                    allow_crossings=options.allow_crossings,
-                    crossing_penalty=options.crossing_penalty,
-                    max_length=options.max_length,
-                    max_expansions=options.max_expansions,
-                    avoid=taken,
-                    engine=options.engine,
-                )
-            path = find_path(self.layout, fanin, target, options)
-            if path is None or (
-                len(path) >= 2 and refs and path[-2].ground in {r.ground for r in refs}
-            ):
-                for end, src in ends:
-                    unroute(self.layout, end, src)
-                return None
-            previous = path[0]
-            for pos in path[1:-1]:
-                self.layout.create_wire(pos, previous)
-                previous = pos
-            refs.append(previous)
-            ends.append((previous, fanin))
         return refs

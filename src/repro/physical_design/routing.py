@@ -11,36 +11,30 @@ so on 2DDWave the search space automatically degenerates to monotone
 east/south staircases, while feedback-capable schemes (USE, RES, ESR)
 expose their full loop structure.
 
-Two engines implement the same search:
-
-* the **fast** engine (default) is one index-level A* kernel,
-  :func:`_astar`, over flat integer nodes ``z * width * height +
-  y * width + x`` with per-grid search arenas (:class:`_RouteArena`):
-  successor tables derived from the precomputed clock-neighbour tables
-  (:func:`repro.layout.clocking.neighbor_tables`) plus open/closed
-  state, eager lists on dense grids and lazily filled maps on sparse
-  ones, so the hot loop does no ``Tile`` allocation and no zone
-  arithmetic.  The exact search calls it directly on indices;
-  ``find_path``'s fast engine, :func:`_find_path_fast`, is its ``Tile``
-  wrapper;
-* the **reference** engine is the original tile-dict implementation,
-  kept selectable (``RoutingOptions(engine="reference")``) for
-  differential testing and benchmark baselines.
-
-Both engines expand nodes in the same order and break f-score ties by
-insertion order, so they return bit-identical paths.
+The search is one index-level A* kernel, :func:`_astar`, over flat
+integer nodes ``z * width * height + y * width + x`` with per-grid
+search arenas (:class:`_RouteArena`): successor tables derived from the
+precomputed clock-neighbour tables
+(:func:`repro.layout.clocking.neighbor_tables`) plus open/closed state,
+eager lists on dense grids and lazily filled maps on sparse ones, so the
+hot loop does no ``Tile`` allocation and no zone arithmetic.  The exact
+search calls it directly on indices; :func:`find_path` is its ``Tile``
+wrapper.  It expands nodes in f-score order and breaks ties by
+insertion order, so equal inputs give bit-identical paths.  Irregular
+schemes (OPEN) carry no zone arithmetic to derive successors from, so
+:func:`find_path` and :func:`route` refuse them up front, as
+:func:`~repro.physical_design.exact.exact_layout` does.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
 
 from ..networks.logic_network import GateType
 from ..layout.clocking import ClockingScheme, neighbor_tables
-from ..layout.coordinates import Tile, Topology, grid_distance, neighbors
+from ..layout.coordinates import Tile, Topology
 from ..layout.gate_layout import DENSE_AREA_LIMIT, GateLayout, is_sparse_area
 
 
@@ -58,16 +52,14 @@ class RoutingOptions:
     #: Positions the path must not use (escape corridors of signals that
     #: still have readers waiting; see the ortho sealing checks).
     avoid: frozenset = frozenset()
-    #: ``"fast"`` (arena-based) or ``"reference"`` (original tile-dict
-    #: implementation).  Both return identical paths; the reference
-    #: engine exists for differential tests and benchmark baselines.
-    engine: str = "fast"
     #: On monotone schemes (2DDWave: data only flows east/south) never
     #: expand nodes beyond the target's column or row — such nodes can
     #: reach the target by no admissible step sequence, so pruning them
     #: cannot change the returned path, only the work done to find it.
-    #: Both engines honour the flag identically.  Off by default so the
-    #: reference engine remains a faithful pre-optimization baseline.
+    #: PLO always prunes.  Off by default because ortho, NanoPlaceR and
+    #: exact bound each search by ``max_expansions``: with fewer nodes
+    #: expanded, a search that now runs out of budget could succeed, so
+    #: turning it on there could change the layouts they build.
     prune_dominated: bool = False
 
 
@@ -86,28 +78,60 @@ def find_path(
     (possibly on the crossing layer) where wires can be placed.
 
     Returns ``None`` when no admissible path exists within the options'
-    limits.
+    limits.  Raises ``ValueError`` for an irregular clocking scheme.
     """
+    if not layout.scheme.regular:
+        raise ValueError(
+            f"routing needs a regular clocking scheme, got {layout.scheme.name!r}"
+        )
     source, target = Tile(*source), Tile(*target)
     if not layout.is_occupied(source):
         raise ValueError(f"routing source {source} is empty")
     if source.ground == target.ground:
         return None
-    if options.engine == "reference" or not layout.scheme.regular:
-        return _find_path_reference(layout, source, target, options)
-    return _find_path_fast(layout, source, target, options)
+    width, height = layout.width, layout.height
+    tx, ty = target.x, target.y
+    if not (0 <= tx < width and 0 <= ty < height):
+        return None
+    n = width * height
+    avoid = options.avoid
+    if avoid:
+        # Positions off the grid or off layers 0/1 can never be stepped
+        # on; dropping them keeps them from aliasing onto real indices.
+        avoid = {
+            z * n + y * width + x
+            for x, y, z in avoid
+            if 0 <= x < width and 0 <= y < height and (z == 0 or z == 1)
+        }
+    cap = None if options.max_length is None else options.max_length + 1
+    path = _astar(
+        layout,
+        (source.z * height + source.y) * width + source.x,
+        ty * width + tx,
+        avoid,
+        options.allow_crossings,
+        options.crossing_penalty,
+        cap,
+        options.max_expansions,
+        options.prune_dominated,
+    )
+    if path is None:
+        return None
+    tiles = [Tile(i % width, i % n // width, i // n) for i in path[:-1]]
+    tiles.append(target)
+    return tiles
 
 
-# -- fast engine -----------------------------------------------------------------------
+# -- search kernel ---------------------------------------------------------------------
 
 
 class _RouteArena:
-    """Per-grid search state for the fast A* engine.
+    """Per-grid search state for the A* kernel.
 
     Nodes are flat integers ``z * width * height + y * width + x``.
     ``succ[g]`` holds ground index ``g``'s clock-admissible in-bounds
-    neighbour indices (in the same order the reference engine visits
-    them) and ``xs[g]``/``ys[g]`` its coordinates, so the hot loop
+    neighbour indices (in the order :func:`repro.layout.coordinates.neighbors`
+    lists them) and ``xs[g]``/``ys[g]`` its coordinates, so the hot loop
     touches no Tile objects.  The backing is picked by the size test
     the occupancy grid uses (:func:`repro.layout.gate_layout.is_sparse_area`):
 
@@ -306,43 +330,6 @@ def _arena_for(layout: GateLayout) -> _RouteArena:
     return arena
 
 
-def _find_path_fast(
-    layout: GateLayout, source: Tile, target: Tile, options: RoutingOptions
-) -> list[Tile] | None:
-    """``Tile`` wrapper of :func:`_astar` (the fast ``find_path`` engine)."""
-    width, height = layout.width, layout.height
-    tx, ty = target.x, target.y
-    if not (0 <= tx < width and 0 <= ty < height):
-        return None
-    n = width * height
-    avoid = options.avoid
-    if avoid:
-        # Positions off the grid or off layers 0/1 can never be stepped
-        # on; dropping them keeps them from aliasing onto real indices.
-        avoid = {
-            z * n + y * width + x
-            for x, y, z in avoid
-            if 0 <= x < width and 0 <= y < height and (z == 0 or z == 1)
-        }
-    cap = None if options.max_length is None else options.max_length + 1
-    path = _astar(
-        layout,
-        (source.z * height + source.y) * width + source.x,
-        ty * width + tx,
-        avoid,
-        options.allow_crossings,
-        options.crossing_penalty,
-        cap,
-        options.max_expansions,
-        options.prune_dominated,
-    )
-    if path is None:
-        return None
-    tiles = [Tile(i % width, i % n // width, i // n) for i in path[:-1]]
-    tiles.append(target)
-    return tiles
-
-
 def _astar(
     layout,
     src_idx: int,
@@ -455,96 +442,6 @@ def _astar(
             heappush(heap, (f, counter, step_cost, step_idx))
             counter += 1
     return None
-
-
-# -- reference engine ------------------------------------------------------------------
-
-
-def _find_path_reference(
-    layout: GateLayout, source: Tile, target: Tile, options: RoutingOptions
-) -> list[Tile] | None:
-    counter = itertools.count()
-    start_cost = 0
-    open_heap: list[tuple[int, int, int, Tile]] = []
-    heapq.heappush(
-        open_heap,
-        (_heuristic(layout, source, target), next(counter), start_cost, source),
-    )
-    best_cost: dict[Tile, int] = {source: 0}
-    parents: dict[Tile, Tile] = {}
-    expansions = 0
-
-    while open_heap:
-        _, _, cost, current = heapq.heappop(open_heap)
-        if cost > best_cost.get(current, cost):
-            continue
-        if current.ground == target.ground and current != source:
-            return _reconstruct(parents, source, current, target)
-        expansions += 1
-        if expansions > options.max_expansions:
-            return None
-        for step in _admissible_steps(layout, current, target, options):
-            step_cost = cost + 1 + (options.crossing_penalty if step.z == 1 else 0)
-            if options.max_length is not None and step_cost > options.max_length + 1:
-                continue
-            if step_cost < best_cost.get(step, 1 << 60):
-                best_cost[step] = step_cost
-                parents[step] = current
-                heapq.heappush(
-                    open_heap,
-                    (step_cost + _heuristic(layout, step, target), next(counter), step_cost, step),
-                )
-    return None
-
-
-def _heuristic(layout: GateLayout, a: Tile, b: Tile) -> int:
-    return grid_distance(layout.topology, a.ground, b.ground)
-
-
-def _admissible_steps(
-    layout: GateLayout, current: Tile, target: Tile, options: RoutingOptions
-) -> list[Tile]:
-    """Positions a wire may extend to from ``current``."""
-    steps: list[Tile] = []
-    prune = (
-        options.prune_dominated
-        and layout.topology is Topology.CARTESIAN
-        and layout.scheme.diagonal
-    )
-    for n in neighbors(layout.topology, current.ground, layout.width, layout.height):
-        if not layout.is_incoming_clocked(n, current):
-            continue
-        if n == target.ground:
-            steps.append(n)
-            continue
-        if prune and (n.x > target.x or n.y > target.y):
-            continue
-        ground_gate = layout.get(n)
-        if ground_gate is None:
-            # Stepping under an existing crossing-layer wire is itself a
-            # crossing; honour allow_crossings.
-            if not options.allow_crossings and layout.is_occupied(n.above):
-                continue
-            if n not in options.avoid:
-                steps.append(n)
-        elif (
-            options.allow_crossings
-            and ground_gate.gate_type is GateType.BUF
-            and not layout.is_occupied(n.above)
-            and n.above not in options.avoid
-        ):
-            steps.append(n.above)
-    return steps
-
-
-def _reconstruct(parents: dict, source: Tile, last: Tile, target: Tile) -> list[Tile]:
-    path = [last if last.ground != target.ground else target]
-    node = last
-    while node != source:
-        node = parents[node]
-        path.append(node)
-    path.reverse()
-    return path
 
 
 # -- materialisation -------------------------------------------------------------------

@@ -4,9 +4,8 @@ The standing correctness gate for the physical-design stack: a seeded
 fuzz driver samples random logic networks and random flow configurations,
 checks a fixed oracle stack on every produced layout (DRC, functional
 equivalence, serialisation round-trips, cell-level invariants, and
-fast-vs-reference routing, optimized-vs-baseline exact search,
-incremental-vs-reference post-layout optimization, and
-HTTP-vs-in-process serving differential agreement),
+columnar-analytics, HTTP-vs-in-process serving and sparse-vs-dense
+differential agreement),
 shrinks failing cases, and persists them to a replayable crash corpus.
 
 Entry points: ``mnt-bench fuzz`` on the command line, :func:`fuzz` from
@@ -15,9 +14,6 @@ code, and the corpus replay tests in ``tests/qa``.
 
 from .config import (
     DIFF_ANALYTICS,
-    DIFF_ENGINES,
-    DIFF_EXACT,
-    DIFF_PLO,
     DIFF_SERVE,
     EXACT_SCHEMES,
     HEXAGONALIZATION,
@@ -36,9 +32,6 @@ from .oracles import (
     ORACLE_NAMES,
     OracleFailure,
     check_analytics_agreement,
-    check_engine_agreement,
-    check_exact_baseline,
-    check_plo_agreement,
     check_serve_agreement,
     run_oracle_stack,
 )
@@ -49,9 +42,6 @@ __all__ = [
     "CrashCase",
     "CrashCorpus",
     "DIFF_ANALYTICS",
-    "DIFF_ENGINES",
-    "DIFF_EXACT",
-    "DIFF_PLO",
     "DIFF_SERVE",
     "EXACT_SCHEMES",
     "FlowConfig",
@@ -70,9 +60,6 @@ __all__ = [
     "ShrinkResult",
     "WIRE_REDUCTION",
     "check_analytics_agreement",
-    "check_engine_agreement",
-    "check_exact_baseline",
-    "check_plo_agreement",
     "check_serve_agreement",
     "fuzz",
     "fuzz_one",

@@ -15,17 +15,15 @@ against the current code and report which still fail.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..networks.logic_network import LogicNetwork
-from .config import DIFF_ENGINES, DIFF_EXACT, FlowConfig, FlowSkipped
+from .config import FlowConfig, FlowSkipped
 from .netjson import network_from_json, network_to_json
 from .oracles import (
     OracleFailure,
     check_analytics_agreement,
-    check_engine_agreement,
-    check_exact_baseline,
     check_serve_agreement,
     check_sparse_agreement,
     run_oracle_stack,
@@ -96,15 +94,13 @@ def replay_case(case: CrashCase) -> OracleFailure | None:
     Returns the (first) oracle failure when the case still reproduces,
     ``None`` when the underlying bug is fixed.  A flow that can no
     longer produce a layout counts as reproduction only when the failing
-    oracle was a flow-level one.
+    oracle was a flow-level one.  Cases of retired differential oracles
+    (``engine_agreement``, ``exact_area``, ``plo_agreement``) replay the
+    per-layout oracle stack.
     """
     network = case.network
     flow = case.flow
     try:
-        if case.oracle == "engine_agreement":
-            return check_engine_agreement(network, flow)
-        if case.oracle == "exact_area":
-            return check_exact_baseline(network, flow)
         if case.oracle == "analytics_agreement":
             return check_analytics_agreement(network, flow)
         if case.oracle == "serve_agreement":

@@ -19,9 +19,6 @@ from ..networks.generators import GeneratorSpec, generate_network
 from ..networks.logic_network import LogicNetwork
 from .config import (
     DIFF_ANALYTICS,
-    DIFF_ENGINES,
-    DIFF_EXACT,
-    DIFF_PLO,
     DIFF_SERVE,
     DIFF_SPARSE,
     FlowConfig,
@@ -33,9 +30,6 @@ from .corpus import CrashCase, CrashCorpus
 from .oracles import (
     OracleFailure,
     check_analytics_agreement,
-    check_engine_agreement,
-    check_exact_baseline,
-    check_plo_agreement,
     check_serve_agreement,
     check_sparse_agreement,
     run_oracle_stack,
@@ -132,18 +126,6 @@ def fuzz_one(
     network = generate_network(spec)
 
     try:
-        if flow.differential == DIFF_ENGINES:
-            failure = check_engine_agreement(network, flow)
-            if failure is not None:
-                return flow, spec, network, failure, None
-        if flow.differential == DIFF_EXACT:
-            failure = check_exact_baseline(network, flow)
-            if failure is not None:
-                return flow, spec, network, failure, None
-        if flow.differential == DIFF_PLO:
-            failure = check_plo_agreement(network, flow)
-            if failure is not None:
-                return flow, spec, network, failure, None
         if flow.differential == DIFF_ANALYTICS:
             failure = check_analytics_agreement(network, flow)
             if failure is not None:
@@ -174,12 +156,6 @@ def _still_fails(flow: FlowConfig, oracle: str, num_vectors: int):
 
     def predicate(network: LogicNetwork) -> bool:
         try:
-            if oracle == "engine_agreement":
-                return check_engine_agreement(network, flow) is not None
-            if oracle == "exact_area":
-                return check_exact_baseline(network, flow) is not None
-            if oracle == "plo_agreement":
-                return check_plo_agreement(network, flow) is not None
             if oracle == "analytics_agreement":
                 return check_analytics_agreement(network, flow) is not None
             if oracle == "serve_agreement":

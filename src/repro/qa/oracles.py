@@ -14,13 +14,6 @@ Each oracle inspects one invariant the benchmark database relies on:
 * ``cell_level`` — the gate library applies cleanly, the resulting cell
   layout passes cell-level DRC, and its ``.qca``/``.sqd`` serialisation
   round-trips;
-* ``engine_agreement`` — the fast and reference routing engines produce
-  bit-identical layouts for the same flow (differential runs only);
-* ``exact_area`` — the optimized and baseline exact searches agree on
-  the minimal area (differential runs only);
-* ``plo_agreement`` — the incremental and reference post-layout
-  optimization engines produce identical layouts with equal cost
-  tuples for the same flow (differential runs only);
 * ``analytics_agreement`` — the columnar batch-analytics kernels
   (:mod:`repro.analytics`) report the same metrics, DRC verdict and
   output signature as the per-artifact reference path for the layout
@@ -72,9 +65,6 @@ ORACLE_NAMES = (
     "equivalence",
     "fgl_roundtrip",
     "cell_level",
-    "engine_agreement",
-    "exact_area",
-    "plo_agreement",
     "analytics_agreement",
     "serve_agreement",
     "sparse_agreement",
@@ -205,51 +195,6 @@ def run_oracle_stack(
 # Differential oracles (need to re-run the flow, so they live above the
 # single-layout stack and are invoked by the driver / corpus replay)
 # ---------------------------------------------------------------------------
-
-
-def check_engine_agreement(network: LogicNetwork, flow) -> OracleFailure | None:
-    """Fast and reference routing engines must build identical layouts."""
-    from .config import FlowSkipped
-
-    fast_flow = replace(flow, engine="fast", differential=None)
-    ref_flow = replace(flow, engine="reference", differential=None)
-    try:
-        fast = fast_flow.run(network)
-        reference = ref_flow.run(network)
-    except FlowSkipped:
-        return None  # scale/timeout limits are not engine disagreements
-    diff = fast.structural_diff(reference)
-    if diff is not None:
-        return OracleFailure(
-            "engine_agreement",
-            f"fast and reference engines diverge: {diff}",
-        )
-    return None
-
-
-def check_exact_baseline(network: LogicNetwork, flow) -> OracleFailure | None:
-    """Optimized and baseline exact searches must agree on minimal area.
-
-    Timeouts make one-sided failures inconclusive (the baseline search is
-    slower by design), so disagreement is only reported when both
-    searches completed.
-    """
-    from .config import FlowSkipped
-
-    opt_flow = replace(flow, exact_optimized=True, differential=None, optimizations=())
-    base_flow = replace(flow, exact_optimized=False, differential=None, optimizations=())
-    try:
-        optimized = opt_flow.run(network)
-        baseline = base_flow.run(network)
-    except FlowSkipped:
-        return None
-    if optimized.area() != baseline.area():
-        return OracleFailure(
-            "exact_area",
-            f"optimized search found area {optimized.area()}, "
-            f"baseline found {baseline.area()}",
-        )
-    return None
 
 
 def check_analytics_agreement(network: LogicNetwork, flow) -> OracleFailure | None:
@@ -488,42 +433,4 @@ def check_sparse_agreement(network: LogicNetwork, flow) -> OracleFailure | None:
             reference, engine="reference"
         ):
             return fail("streaming .sqd writer != reference writer bytes")
-    return None
-
-
-def check_plo_agreement(network: LogicNetwork, flow) -> OracleFailure | None:
-    """Incremental and reference PLO engines must agree exactly.
-
-    Both engines implement the same greedy descent and are designed to
-    accept the same moves in the same order, so the resulting layouts
-    must be structurally identical — not merely equal in cost.  The
-    cost tuple (:func:`repro.optimization.post_layout.layout_cost`) is
-    still compared first because a cost mismatch is the more readable
-    failure message.  Fuzzed networks are small enough that the 10 s
-    PLO budget never fires, so timeouts cannot desynchronise the runs.
-    """
-    from ..optimization.post_layout import layout_cost
-    from .config import FlowSkipped
-
-    inc_flow = replace(flow, plo_engine="incremental", differential=None)
-    ref_flow = replace(flow, plo_engine="reference", differential=None)
-    try:
-        incremental = inc_flow.run(network)
-        reference = ref_flow.run(network)
-    except FlowSkipped:
-        return None  # scale/timeout limits are not engine disagreements
-    if incremental.topology is Topology.CARTESIAN:
-        inc_cost = layout_cost(incremental)
-        ref_cost = layout_cost(reference)
-        if inc_cost != ref_cost:
-            return OracleFailure(
-                "plo_agreement",
-                f"incremental PLO cost {inc_cost} != reference {ref_cost}",
-            )
-    diff = incremental.structural_diff(reference)
-    if diff is not None:
-        return OracleFailure(
-            "plo_agreement",
-            f"incremental and reference PLO engines diverge: {diff}",
-        )
     return None

@@ -68,6 +68,31 @@ class TestReduction:
         assert result.passes >= 1
 
 
+def _cost_from_scratch(layout):
+    """``(bounding-box area, wire tiles, Σ x+y over non-wire elements)``."""
+    width, height = layout.bounding_box()
+    wires = position_sum = 0
+    for tile, gate in layout.tiles():
+        if gate.is_wire:
+            wires += 1
+        else:
+            position_sum += tile.x + tile.y
+    return (width * height, wires, position_sum)
+
+
+class TestCostTuple:
+    @pytest.mark.parametrize("factory", FUNCTIONS)
+    def test_tracked_cost_equals_a_full_recount(self, factory):
+        # PLO keeps its cost tuple by per-move deltas; a recount from
+        # scratch before and after the pass must agree with it.
+        layout = orthogonal_layout(factory(), OrthoParams(compact=False)).layout
+        before = _cost_from_scratch(layout)
+        result = post_layout_optimization(layout, PostLayoutParams(timeout=None))
+        assert result.cost_before == before
+        assert result.cost_after == _cost_from_scratch(result.layout)
+        assert result.cost_after <= result.cost_before
+
+
 class TestBudget:
     def test_zero_passes(self):
         net = mux21()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.layout import GateLayout, ROW, TWODDWAVE, USE, Tile, Topology
+from repro.layout import GateLayout, OPEN, ROW, TWODDWAVE, USE, Tile, Topology
 from repro.networks import GateType
 from repro.physical_design import RoutingOptions, find_path, route, unroute
 
@@ -41,6 +41,17 @@ class TestFindPath:
         lay = straight_layout()
         with pytest.raises(ValueError):
             find_path(lay, Tile(5, 5), Tile(0, 0))
+
+    def test_irregular_scheme_rejected(self):
+        # OPEN assigns zones per tile; the router has no successor
+        # tables for it, so it refuses up front (as exact_layout does).
+        lay = GateLayout(4, 4, OPEN)
+        lay.create_pi(Tile(0, 0), "a")
+        with pytest.raises(ValueError, match="regular clocking scheme"):
+            find_path(lay, Tile(0, 0), Tile(2, 0))
+        with pytest.raises(ValueError, match="regular clocking scheme"):
+            route(lay, Tile(0, 0), Tile(2, 0))
+        assert not lay.is_occupied(Tile(1, 0))
 
     def test_same_tile_returns_none(self):
         lay = straight_layout()

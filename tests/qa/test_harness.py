@@ -59,23 +59,52 @@ class TestSampling:
             assert spec.num_pis >= 1 and spec.num_pos >= 1
 
 
-class TestPloDifferential:
-    def test_sampling_reaches_plo_mode(self):
-        from repro.qa import DIFF_PLO, PLO
+class TestRetiredEngineRecords:
+    """Records written while the fuzzer still compared routing, exact and
+    PLO engines (``engine``, ``plo_engine``, ``exact_optimized`` and the
+    ``engines``/``exact-baseline``/``optimization`` differentials)."""
+
+    def _old_case(self) -> dict:
+        net = generate_network(GeneratorSpec("plo", 3, 2, 10, seed=4))
+        flow = {
+            "algorithm": "ortho",
+            "optimizations": ["PLO"],
+            "engine": "reference",
+            "plo_engine": "reference",
+            "exact_optimized": False,
+            "differential": "optimization",
+        }
+        return CrashCase(
+            oracle="plo_agreement",
+            message="incremental and reference PLO engines diverge",
+            flow=FlowConfig.from_json(flow),
+            network=net,
+        ).to_json() | {"flow": flow}
+
+    def test_sampling_draws_only_current_differentials(self):
+        from repro.qa import DIFF_ANALYTICS, DIFF_SERVE, PLO
+        from repro.qa.config import DIFF_SPARSE
 
         flows = [sample_flow(run_seed(13, i)) for i in range(300)]
-        plo_diff = [f for f in flows if f.differential == DIFF_PLO]
-        assert plo_diff, "DIFF_PLO never sampled in 300 draws"
-        # The mode only makes sense when the flow actually runs PLO.
-        assert all(PLO in f.optimizations for f in plo_diff)
-        assert any(f.plo_engine == "reference" for f in flows)
+        assert {f.differential for f in flows} == {
+            None, DIFF_ANALYTICS, DIFF_SERVE, DIFF_SPARSE
+        }
+        assert any(PLO in f.optimizations for f in flows)
 
-    def test_agreement_on_clean_flow(self):
-        from repro.qa import check_plo_agreement
+    def test_old_flow_keys_are_ignored(self):
+        record = self._old_case()["flow"]
+        flow = FlowConfig.from_json(record)
+        assert flow.optimizations == ("PLO",)
+        assert not {"engine", "plo_engine", "exact_optimized"} & set(flow.to_json())
 
-        flow = FlowConfig(algorithm="ortho", optimizations=("PLO",))
-        net = generate_network(GeneratorSpec("plo", 3, 2, 10, seed=4))
-        assert check_plo_agreement(net, flow) is None
+    def test_old_case_replays_the_oracle_stack(self, tmp_path):
+        from repro.qa import replay_case
+
+        path = tmp_path / "s0_r0_plo_agreement.json"
+        path.write_text(json.dumps(self._old_case()))
+        case = CrashCorpus(tmp_path).load(path)
+        assert case.oracle == "plo_agreement"
+        assert replay_case(case) is None
 
 
 class TestServeDifferential:
