@@ -434,11 +434,11 @@ def _run_pool(run: _Run, live: list[int]) -> None:
                     continue
                 _, key, task, _, _ = run.pending[idx]
                 if queue is not None and idx not in retries:
-                    data = queue.read_result(key)
+                    claimed, data = queue.claim(key)
                     if data is not None:
                         run.adopt_remote(idx, data)
                         continue
-                    if not queue.try_claim(key):
+                    if not claimed:
                         remote[idx] = key
                         continue
                 reason = run.dominated(idx)
@@ -524,11 +524,11 @@ def _run_inline(run: _Run, live: list[int]) -> None:
             continue
         _, key, task, _, _ = run.pending[idx]
         if queue is not None:
-            data = queue.read_result(key)
+            claimed, data = queue.claim(key)
             if data is not None:
                 run.adopt_remote(idx, data)
                 continue
-            if not queue.try_claim(key):
+            if not claimed:
                 remote[idx] = key
                 continue
         _execute_inline(run, idx)
@@ -567,11 +567,11 @@ def _poll_remote(run: _Run, remote: dict[int, str], backlog: deque) -> None:
         return
     for idx in sorted(remote):
         key = remote[idx]
-        data = run.queue.read_result(key)
+        claimed, data = run.queue.claim(key)
         if data is not None:
             run.adopt_remote(idx, data)
             del remote[idx]
-        elif run.queue.try_claim(key):
+        elif claimed:
             # The claimant vanished without result or lease: take over.
             del remote[idx]
             backlog.append(idx)

@@ -21,8 +21,11 @@ shard one sweep.  The protocol uses only atomic filesystem primitives:
     The serialised :class:`~repro.core.bench.FlowTaskResult` plus the
     executing node, written with tmp-file + ``os.replace`` so readers
     never observe a torn result.  The claim is released only *after*
-    the result is visible, so ``read_result`` → ``try_claim`` →
-    ``steal`` is a race-free polling order for non-owners.
+    the result is visible.  A non-owner's ``read_result`` can still
+    miss a result that its owner writes just before releasing the
+    claim, and the following ``try_claim`` then succeeds on a finished
+    task; :meth:`DirectoryQueue.claim` therefore reads the result again
+    after a successful claim, so a task runs once.
 
 Every participant merges *all* results — its own and the spooled
 remote ones — into its own database in task-definition order, so each
@@ -116,6 +119,23 @@ class DirectoryQueue:
             os.close(fd)
         self._owned.add(key)
         return True
+
+    def claim(self, key: str) -> tuple[bool, dict | None]:
+        """Adopt ``key``'s spooled result or take its lease.
+
+        Returns ``(False, result)`` when a result is spooled, ``(True,
+        None)`` when this process now holds the lease of an unfinished
+        task, and ``(False, None)`` when another process holds it.  The
+        result is read again after a successful claim: its owner may
+        have written it and released the lease in between.
+        """
+        data = self.read_result(key)
+        if data is None and self.try_claim(key):
+            data = self.read_result(key)
+            if data is None:
+                return True, None
+            self.release(key)
+        return False, data
 
     def heartbeat(self) -> None:
         """Refresh the mtime of every lease this process holds."""

@@ -131,6 +131,67 @@ def test_stale_lease_takeover(tmp_path):
         ]
 
 
+def test_result_written_between_read_and_claim_is_adopted(tmp_path, monkeypatch):
+    """Another node writes its result and releases its lease after this
+    node's first read of the result but before its claim: the claim
+    succeeds, and the task must be adopted, not executed a second time."""
+    params = GenerationParams(**DETERMINISTIC_PARAMS)
+    spec = get_benchmark("trindade16", "mux21")
+    # A finished result of the other node, for one task of the sweep.
+    finished = tmp_path / "finished"
+    BenchmarkDatabase(tmp_path / "other-db").generate(
+        [spec], params=params,
+        scheduler=SchedulerParams(queue_dir=finished, node_id="other"),
+    )
+    key = DirectoryQueue(finished, "other").result_keys()[0]
+    payload = DirectoryQueue(finished, "other").read_result(key)
+
+    queue_dir = tmp_path / "queue"
+    other = DirectoryQueue(queue_dir, "other")
+    assert other.try_claim(key)
+    read_result = DirectoryQueue.read_result
+    raced = []
+
+    def racing_read(self, k):
+        data = read_result(self, k)
+        if self.node == "survivor" and k == key and not raced:
+            raced.append(k)  # the other node finishes right after the miss
+            other.write_result(k, payload)
+        return data
+
+    monkeypatch.setattr(DirectoryQueue, "read_result", racing_read)
+    scheduler = SchedulerParams(
+        queue_dir=queue_dir, node_id="survivor", poll_interval=0.01
+    )
+    report = BenchmarkDatabase(tmp_path / "db").generate(
+        [spec], params=params, scheduler=scheduler
+    ).report
+
+    audit = DirectoryQueue(queue_dir, "auditor")
+    assert audit.execution_nodes(key) == []
+    assert report.scheduler["remote_completed"] == 1
+    assert not (audit.claims_dir / f"{key}.json").exists()
+    assert audit.result_keys() == DirectoryQueue(finished, "other").result_keys()
+
+
+def test_claim_rereads_the_result_after_a_successful_claim(tmp_path):
+    owner = DirectoryQueue(tmp_path / "q", "owner")
+    late = DirectoryQueue(tmp_path / "q", "late")
+    assert owner.try_claim("k")
+    assert late.claim("k") == (False, None)  # held, no result yet
+    read_result = late.read_result
+
+    def stale_read(key):
+        late.read_result = read_result
+        owner.write_result(key, {"flow": "ortho"})  # lands after the miss
+        return None
+
+    late.read_result = stale_read
+    assert late.claim("k") == (False, {"flow": "ortho"})
+    assert not (late.claims_dir / "k.json").exists()
+    assert late.claim("fresh") == (True, None)
+
+
 def test_fresh_lease_is_not_stolen(tmp_path):
     queue = DirectoryQueue(tmp_path / "q", "owner")
     thief = DirectoryQueue(tmp_path / "q", "thief")
