@@ -20,6 +20,11 @@ MIN_COMPRESS_SIZE = 256
 #: Default bound on the compressed-response LRU (entries).
 DEFAULT_GZIP_CACHE_SIZE = 256
 
+#: Byte bound on the compressed-response LRU.  It holds the browse
+#: catalogue and a few cell-level downloads (a c432 ``.qca`` gzips to
+#: 140–180 KB); a larger compressed body is served uncached.
+DEFAULT_GZIP_CACHE_BYTES = 4 * 2**20
+
 #: Compression level for negotiated gzip bodies; the artifacts are
 #: XML/JSON text, where 6 is already within a few percent of 9.
 _GZIP_LEVEL = 6
@@ -140,11 +145,12 @@ class GzipEncoder:
 
     Compressed bodies are cached by the response's ETag (content-
     derived, so an entry can never go stale: new content means a new
-    tag).  Bodies without a tag are compressed but not cached.
+    tag), bounded by entries and by :data:`DEFAULT_GZIP_CACHE_BYTES`.
+    Bodies without a tag are compressed but not cached.
     """
 
     def __init__(self, cache_size: int = DEFAULT_GZIP_CACHE_SIZE) -> None:
-        self.cache = LruCache(cache_size)
+        self.cache = LruCache(cache_size, DEFAULT_GZIP_CACHE_BYTES)
 
     def encode(self, body: bytes, etag: str | None) -> bytes:
         if etag is not None:

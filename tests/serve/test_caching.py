@@ -12,6 +12,7 @@ import json
 import zlib
 
 import repro.serve.handlers as handlers_module
+import repro.serve.http_utils as http_utils_module
 from repro.core import SnapshotManager
 from repro.serve.handlers import BenchService, Request
 from repro.serve.http_utils import (
@@ -234,6 +235,31 @@ def test_gzip_encoder_caches_by_etag():
     # Untagged bodies compress but never populate the cache.
     encoder.encode(body, None)
     assert len(encoder.cache) == 1
+
+
+def test_gzip_encoder_evicts_by_bytes(monkeypatch):
+    monkeypatch.setattr(http_utils_module, "DEFAULT_GZIP_CACHE_BYTES", 100)
+    encoder = GzipEncoder()
+    body = b"x" * 1024  # gzips to 29 bytes
+    sizes = [len(encoder.encode(body + bytes([i]), f'"{i}"')) for i in range(4)]
+    assert sum(sizes[1:]) <= 100 < sum(sizes)
+    assert len(encoder.cache) == 3
+    assert encoder.cache.get('"0"') is None  # the oldest went first
+    assert encoder.cache.stats()["bytes"] == sum(sizes[1:])
+
+
+def test_gzip_encoder_serves_an_oversized_body_uncached(monkeypatch):
+    monkeypatch.setattr(http_utils_module, "DEFAULT_GZIP_CACHE_BYTES", 100)
+    encoder = GzipEncoder()
+    small = b"y" * 1024
+    encoder.encode(small, '"small"')
+    body = bytes(range(256)) * 8  # compresses to more than 100 bytes
+    first = encoder.encode(body, '"big"')
+    second = encoder.encode(body, '"big"')
+    assert len(first) > 100
+    assert gzip.decompress(first) == gzip.decompress(second) == body
+    assert encoder.cache.get('"big"') is None
+    assert encoder.cache.get('"small"') is not None  # nothing evicted
 
 
 def test_stats_reports_cache_counters(http_get):
