@@ -482,6 +482,10 @@ def _cmd_serve(args) -> int:
 def _cmd_profile(args) -> int:
     from .networks import format_profile
 
+    try:
+        import networkx  # noqa: F401  (the optional ``analysis`` extra)
+    except ImportError:
+        raise _UsageError("needs networkx: pip install 'repro[analysis]'") from None
     spec = _benchmark(args.benchmark)
     network = spec.build(args.node_cap)
     print(format_profile(network))

@@ -109,6 +109,19 @@ class TestProfile:
         assert "critical" in text
 
 
+def test_profile_without_networkx_is_a_usage_error(monkeypatch, capsys):
+    # networkx is the optional ``analysis`` extra: without it the
+    # profile verb exits 2 with one stderr line, not a traceback.
+    from repro.cli import main
+
+    monkeypatch.setitem(sys.modules, "networkx", None)
+    assert main(["profile", "trindade16/mux21"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "networkx" in captured.err and "analysis" in captured.err
+
+
 def test_cli_import_does_not_load_networkx():
     # networkx is imported only where the graph functions need it, so a
     # cold ``mnt-bench`` start does not pay for it.
