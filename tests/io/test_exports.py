@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.celllayout import QCACell, QCACellType
+from repro.celllayout import QCACell, QCACellType, SiDBLayout
 from repro.gatelibs import apply_bestagon, apply_qca_one
 from repro.io import cell_layout_to_qca, sidb_layout_to_sqd, write_qca, write_sqd
 from repro.networks.library import full_adder, mux21
@@ -83,6 +83,31 @@ class TestSqdWriter:
         text = sidb_layout_to_sqd(sidb())
         assert '<label type="input">' in text
         assert '<label type="output">' in text
+
+    def test_escaped_names(self):
+        """Text nodes are escaped as minidom escapes them (``&``, ``<``,
+        ``"``, ``>``), the same escaper the ``.fgl`` writer uses."""
+        layout = SiDBLayout(name="a\"b'c&d>e")
+        layout.add_dot(0, 0, 0)
+        layout.input_labels[(0, 0, 0)] = 'x"y<z'
+        assert sidb_layout_to_sqd(layout) == (
+            '<?xml version="1.0" ?>\n'
+            "<siqad>\n"
+            "    <program>\n"
+            "        <file_purpose>save</file_purpose>\n"
+            "        <name>a&quot;b'c&amp;d&gt;e</name>\n"
+            "    </program>\n"
+            "    <design>\n"
+            '        <layer type="DB">\n'
+            "            <dbdot>\n"
+            "                <layer_id>2</layer_id>\n"
+            '                <latcoord n="0" m="0" l="0"/>\n'
+            '                <label type="input">x&quot;y&lt;z</label>\n'
+            "            </dbdot>\n"
+            "        </layer>\n"
+            "    </design>\n"
+            "</siqad>\n"
+        )
 
     def test_file_write(self, tmp_path):
         path = tmp_path / "layout.sqd"

@@ -1,5 +1,8 @@
 """Tests for the .fgl gate-level file format."""
 
+import xml.etree.ElementTree as ET
+from xml.dom import minidom
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,9 +14,14 @@ from repro.io import (
     fgl_to_layout,
     fgl_to_layout_xml,
     layout_to_fgl,
-    layout_to_fgl_reference,
     read_fgl,
     write_fgl,
+)
+from repro.io.fgl import (
+    FGL_VERSION,
+    _TOPOLOGY_TO_TAG,
+    _TYPE_TO_TAG,
+    _serialisation_order,
 )
 from repro.layout import GateLayout, OPEN, ROW, TWODDWAVE, Tile, Topology, check_layout
 from repro.networks import check_equivalence
@@ -114,10 +122,61 @@ class TestRoundTrip:
         assert check_equivalence(net, loaded.extract_network()).equivalent
 
 
+def layout_to_fgl_reference(layout: GateLayout) -> str:
+    """The historical DOM writer (ElementTree + minidom pretty-print):
+    the byte-level oracle for :func:`layout_to_fgl`."""
+    root = ET.Element("fgl")
+    ET.SubElement(root, "version").text = FGL_VERSION
+
+    header = ET.SubElement(root, "layout")
+    ET.SubElement(header, "name").text = layout.name or "layout"
+    ET.SubElement(header, "topology").text = _TOPOLOGY_TO_TAG[layout.topology]
+    size = ET.SubElement(header, "size")
+    ET.SubElement(size, "x").text = str(layout.width)
+    ET.SubElement(size, "y").text = str(layout.height)
+    ET.SubElement(size, "z").text = "1"
+    clocking = ET.SubElement(header, "clocking")
+    ET.SubElement(clocking, "name").text = layout.scheme.name
+    if not layout.scheme.regular:
+        zones = ET.SubElement(clocking, "zones")
+        for tile, _ in layout.tiles():
+            if tile.z != 0:
+                continue
+            zone = ET.SubElement(zones, "zone")
+            ET.SubElement(zone, "x").text = str(tile.x)
+            ET.SubElement(zone, "y").text = str(tile.y)
+            ET.SubElement(zone, "clock").text = str(layout.zone(tile))
+
+    gates = ET.SubElement(root, "gates")
+    ordered = _serialisation_order(layout)
+    ids = {tile: index for index, tile in enumerate(ordered)}
+    for tile in ordered:
+        gate = layout.get(tile)
+        node = ET.SubElement(gates, "gate")
+        ET.SubElement(node, "id").text = str(ids[tile])
+        ET.SubElement(node, "type").text = _TYPE_TO_TAG[gate.gate_type]
+        if gate.name:
+            ET.SubElement(node, "name").text = gate.name
+        loc = ET.SubElement(node, "loc")
+        ET.SubElement(loc, "x").text = str(tile.x)
+        ET.SubElement(loc, "y").text = str(tile.y)
+        ET.SubElement(loc, "z").text = str(tile.z)
+        if gate.fanins:
+            incoming = ET.SubElement(node, "incoming")
+            for fanin in gate.fanins:
+                signal = ET.SubElement(incoming, "signal")
+                ET.SubElement(signal, "x").text = str(fanin.x)
+                ET.SubElement(signal, "y").text = str(fanin.y)
+                ET.SubElement(signal, "z").text = str(fanin.z)
+
+    raw = ET.tostring(root, encoding="unicode")
+    return minidom.parseString(raw).toprettyxml(indent="    ")
+
+
 class TestStreamingWriterParity:
-    """The streaming writer is the serving hot path; the old minidom
-    writer is retained as ``layout_to_fgl_reference`` and every output
-    must match it byte-for-byte."""
+    """The streaming writer is the serving hot path; every output must
+    match the historical minidom writer (the test-only
+    :func:`layout_to_fgl_reference`) byte-for-byte."""
 
     @pytest.mark.parametrize(
         "factory", [mux21, full_adder, lambda: ripple_carry_adder(2)]

@@ -1,13 +1,6 @@
 """Tests for layout metrics (area, wires, critical path, throughput)."""
 
-from repro.layout import (
-    GateLayout,
-    TWODDWAVE,
-    Tile,
-    compute_metrics,
-    critical_path_length,
-    throughput,
-)
+from repro.layout import GateLayout, TWODDWAVE, Tile, compute_metrics
 from repro.networks import GateType
 from repro.networks.library import full_adder, mux21
 from repro.physical_design import orthogonal_layout
@@ -29,12 +22,12 @@ def test_critical_path_counts_tiles():
     w1 = lay.create_wire(Tile(1, 0), a)
     w2 = lay.create_wire(Tile(2, 0), w1)
     lay.create_po(Tile(3, 0), w2)
-    assert critical_path_length(lay) == 4
+    assert compute_metrics(lay).critical_path == 4
 
 
 def test_throughput_balanced_paths():
     layout = orthogonal_layout(mux21()).layout
-    assert throughput(layout) >= 1
+    assert compute_metrics(layout).throughput >= 1
 
 
 def test_throughput_imbalance():
@@ -51,7 +44,7 @@ def test_throughput_imbalance():
         w = lay.create_wire(Tile(4, y), w)
     gate = lay.create_gate(GateType.AND, Tile(4, 4), [shallow, w])
     lay.create_po(Tile(5, 4), gate)
-    assert throughput(lay) == 2
+    assert compute_metrics(lay).throughput == 2
 
 
 def test_metrics_str():
