@@ -6,23 +6,12 @@ DRC and output-signature kernels over whole databases per call
 (:mod:`~repro.analytics.kernels`), and feeds the fleet consumers —
 rankings, Table I, re-verification, ``mnt-bench report``/``info``
 (:mod:`~repro.analytics.engine`, :mod:`~repro.analytics.report`).  The
-per-artifact object path is retained as the reference engine; the
-differential tests and ``benchmarks/bench_analytics.py`` prove both
-produce identical results.
+tests and the ``analytics_agreement`` fuzz oracle check every result
+against the per-artifact object path
+(:func:`repro.qa.oracles.per_artifact_analysis`).
 """
 
-from .backend import (
-    BACKEND_NUMPY,
-    BACKEND_STDLIB,
-    DEFAULT_BACKEND,
-    ENV_VAR,
-    HAS_NUMPY,
-    resolve_backend,
-)
 from .engine import (
-    ENGINE_COLUMNAR,
-    ENGINE_REFERENCE,
-    ENGINES,
     VerificationRecord,
     VerificationSummary,
     analyze_texts,
@@ -30,7 +19,6 @@ from .engine import (
     best_pairs,
     database_info,
     gate_level_records,
-    resolve_engine,
     sweep_database,
     verify_database,
 )
@@ -49,15 +37,7 @@ from .tables import LayoutBatch
 __all__ = [
     "AggregateRow",
     "AnalyticsReport",
-    "BACKEND_NUMPY",
-    "BACKEND_STDLIB",
-    "DEFAULT_BACKEND",
     "DrcCounts",
-    "ENGINE_COLUMNAR",
-    "ENGINE_REFERENCE",
-    "ENGINES",
-    "ENV_VAR",
-    "HAS_NUMPY",
     "LayoutAnalysis",
     "LayoutBatch",
     "ReportRow",
@@ -74,8 +54,6 @@ __all__ = [
     "layout_drc",
     "layout_metrics",
     "layout_signature",
-    "resolve_backend",
-    "resolve_engine",
     "sweep_database",
     "verify_database",
 ]

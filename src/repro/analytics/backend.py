@@ -1,92 +1,13 @@
-"""Numeric-backend selection for the columnar analytics layer.
+"""The numeric backend of the columnar analytics layer: always numpy.
 
-The batch kernels vectorise their bulk reductions (gate-kind counts,
-bounding boxes, crossing counts) through numpy when it is importable,
-and fall back to pure-stdlib loops over :mod:`array` buffers otherwise.
-Both backends are required to be *bit-identical*: every count, metric,
-DRC verdict and output signature is an exact integer, so the choice is
-purely a speed knob, never a semantics knob.
-
-The default is chosen once at import time from the
-``MNT_BENCH_ANALYTICS_BACKEND`` environment variable (``auto`` |
-``numpy`` | ``stdlib``); every kernel entry point also accepts an
-explicit per-call override, which is what the backend-split tests use.
+Kept only because ``perfbench/run.py`` imports :func:`resolve_backend`
+and prints its value in every benchmark run; removing it is a change to
+the benchmark.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 
-try:  # pragma: no cover - exercised implicitly on import
-    import numpy as _numpy
-except Exception:  # pragma: no cover - container always ships numpy
-    _numpy = None
-
-#: Whether numpy is importable in this environment.
-HAS_NUMPY = _numpy is not None
-
-#: Environment variable consulted once at import time.
-ENV_VAR = "MNT_BENCH_ANALYTICS_BACKEND"
-
-BACKEND_NUMPY = "numpy"
-BACKEND_STDLIB = "stdlib"
-
-_CHOICES = ("auto", BACKEND_NUMPY, BACKEND_STDLIB)
-
-
-def _default_backend() -> str:
-    """Resolve the import-time default from the environment.
-
-    Misconfiguration degrades with a warning instead of breaking the
-    import: analytics must stay usable even when the variable is stale.
-    """
-    choice = os.environ.get(ENV_VAR, "auto").strip().lower() or "auto"
-    if choice not in _CHOICES:
-        warnings.warn(
-            f"{ENV_VAR}={choice!r} is not one of {_CHOICES}; using 'auto'",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        choice = "auto"
-    if choice == BACKEND_NUMPY and not HAS_NUMPY:
-        warnings.warn(
-            f"{ENV_VAR}=numpy requested but numpy is not importable; "
-            "falling back to the stdlib backend",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return BACKEND_STDLIB
-    if choice == "auto":
-        return BACKEND_NUMPY if HAS_NUMPY else BACKEND_STDLIB
-    return choice
-
-
-#: The backend used when a call does not override it.
-DEFAULT_BACKEND = _default_backend()
-
-
-def resolve_backend(name: str | None = None) -> str:
-    """Normalise a per-call backend override to ``numpy``/``stdlib``.
-
-    ``None`` and ``"auto"`` defer to the import-time default.  An
-    explicit ``"numpy"`` request raises when numpy is unavailable —
-    code asking by name wants that backend, not a silent substitute.
-    """
-    if name is None:
-        return DEFAULT_BACKEND
-    choice = name.strip().lower()
-    if choice == "auto":
-        return DEFAULT_BACKEND
-    if choice not in (BACKEND_NUMPY, BACKEND_STDLIB):
-        raise ValueError(f"unknown analytics backend {name!r}; choose from {_CHOICES}")
-    if choice == BACKEND_NUMPY and not HAS_NUMPY:
-        raise RuntimeError("numpy backend requested but numpy is not importable")
-    return choice
-
-
-def numpy_module():
-    """The numpy module (for kernels that resolved to the numpy backend)."""
-    if _numpy is None:  # pragma: no cover - guarded by resolve_backend
-        raise RuntimeError("numpy is not available")
-    return _numpy
+def resolve_backend() -> str:
+    """The numeric backend the batch kernels run on (``"numpy"``)."""
+    return "numpy"

@@ -1,20 +1,12 @@
-"""Database-wide batch analytics with a retained per-artifact oracle.
+"""Database-wide batch analytics: metrics, DRC verdicts, rankings and
+re-verification over whole databases.
 
-Two engines answer every fleet question (metrics, DRC verdicts,
-rankings, re-verification):
-
-* ``columnar`` — the fast path: the pack store's batch slice reads feed
-  :class:`~repro.analytics.tables.LayoutBatch`, and the kernels sweep
-  the struct-of-arrays columns;
-* ``reference`` — the retained per-artifact path: ``fgl_to_layout`` →
-  ``compute_metrics`` / ``check_layout`` / ``output_signature`` per
-  record, object at a time.
-
-Both are first-class: every consumer (``BenchmarkDatabase.best``,
-``mnt-bench report``, :func:`verify_database`) accepts an ``engine``
-argument, and the differential tests plus ``benchmarks/bench_analytics``
-prove the two produce identical metrics, identical DRC verdicts and
-identical rankings on every suite in the database.
+The pack store's batch slice reads feed
+:class:`~repro.analytics.tables.LayoutBatch`, and the kernels of
+:mod:`~repro.analytics.kernels` sweep its struct-of-arrays columns.
+``tests/analytics`` and the ``analytics_agreement`` fuzz oracle check
+every result against the per-artifact object path
+(:func:`repro.qa.oracles.per_artifact_analysis`).
 """
 
 from __future__ import annotations
@@ -22,33 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.selection import AbstractionLevel
-from ..io.fgl import fgl_to_layout
-from ..layout.metrics import compute_metrics
-from ..layout.verification import check_layout
 from ..networks.simulation import output_signature
 from ..networks.verilog import parse_verilog
-from .backend import resolve_backend
 from .kernels import (
     DEFAULT_MAX_FANOUT,
     DEFAULT_NUM_VECTORS,
     DEFAULT_SEED,
-    DrcCounts,
     LayoutAnalysis,
     analyze_batch,
 )
 from .tables import LayoutBatch
-
-ENGINE_COLUMNAR = "columnar"
-ENGINE_REFERENCE = "reference"
-ENGINES = (ENGINE_COLUMNAR, ENGINE_REFERENCE)
-
-
-def resolve_engine(name: str | None) -> str:
-    engine = (name or ENGINE_COLUMNAR).strip().lower()
-    if engine not in ENGINES:
-        raise ValueError(f"unknown analytics engine {name!r}; choose from {ENGINES}")
-    return engine
-
 
 # ---------------------------------------------------------------------------
 # Sweeps
@@ -57,48 +32,19 @@ def resolve_engine(name: str | None) -> str:
 
 def analyze_texts(
     texts,
-    engine: str | None = None,
-    backend: str | None = None,
     max_fanout: int = DEFAULT_MAX_FANOUT,
     with_signatures: bool = False,
     num_vectors: int = DEFAULT_NUM_VECTORS,
     seed: int = DEFAULT_SEED,
 ) -> list[LayoutAnalysis]:
-    """Analyse ``.fgl`` payloads on the selected engine."""
-    if resolve_engine(engine) == ENGINE_COLUMNAR:
-        batch = LayoutBatch.from_texts(texts)
-        return analyze_batch(
-            batch,
-            backend=backend,
-            max_fanout=max_fanout,
-            with_signatures=with_signatures,
-            num_vectors=num_vectors,
-            seed=seed,
-        )
-    analyses = []
-    for text in texts:
-        layout = fgl_to_layout(text)
-        try:
-            metrics = compute_metrics(layout)
-        except ValueError:
-            metrics = None  # cyclic/dangling connectivity
-        report = check_layout(layout, max_fanout=max_fanout)
-        drc = DrcCounts(len(report.violations), len(report.warnings))
-        signature = None
-        if with_signatures and drc.ok:
-            signature = output_signature(
-                layout.extract_network(), num_vectors=num_vectors, seed=seed
-            )
-        analyses.append(
-            LayoutAnalysis(
-                metrics=metrics,
-                drc=drc,
-                signature=signature,
-                num_pis=len(layout.pis()),
-                num_pos=len(layout.pos()),
-            )
-        )
-    return analyses
+    """Analyse ``.fgl`` payloads in one columnar batch."""
+    return analyze_batch(
+        LayoutBatch.from_texts(texts),
+        max_fanout=max_fanout,
+        with_signatures=with_signatures,
+        num_vectors=num_vectors,
+        seed=seed,
+    )
 
 
 def gate_level_records(db, selection=None) -> list:
@@ -111,29 +57,13 @@ def gate_level_records(db, selection=None) -> list:
     ]
 
 
-def sweep_database(
-    db,
-    records=None,
-    engine: str | None = None,
-    backend: str | None = None,
-    with_signatures: bool = False,
-) -> list[tuple]:
-    """Analyse (record, analysis) pairs for the database's artifacts.
-
-    The columnar engine pulls all payloads in one coalesced batch read
-    from the pack; the reference engine reads and parses one artifact at
-    a time, exactly like the pre-batch consumers did.
-    """
+def sweep_database(db, records=None, with_signatures: bool = False) -> list[tuple]:
+    """Analyse (record, analysis) pairs for the database's artifacts,
+    pulling all payloads in one coalesced batch read from the pack."""
     if records is None:
         records = gate_level_records(db)
-    engine = resolve_engine(engine)
-    if engine == ENGINE_COLUMNAR:
-        texts = db.store.read_texts([record.path for record in records])
-    else:
-        texts = [db.artifact_text(record) for record in records]
-    analyses = analyze_texts(
-        texts, engine=engine, backend=backend, with_signatures=with_signatures
-    )
+    texts = db.store.read_texts([record.path for record in records])
+    analyses = analyze_texts(texts, with_signatures=with_signatures)
     return list(zip(records, analyses))
 
 
@@ -179,11 +109,9 @@ def best_pairs(pairs) -> list[tuple]:
     ]
 
 
-def best_database(db, selection=None, engine=None, backend=None) -> list[tuple]:
+def best_database(db, selection=None) -> list[tuple]:
     """Best (record, analysis) per (suite, function, library)."""
-    records = gate_level_records(db, selection)
-    pairs = sweep_database(db, records, engine=engine, backend=backend)
-    return best_pairs(pairs)
+    return best_pairs(sweep_database(db, gate_level_records(db, selection)))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +140,6 @@ class VerificationRecord:
 class VerificationSummary:
     """Outcome of a database-wide re-verification job."""
 
-    engine: str
     records: tuple[VerificationRecord, ...]
 
     def count(self, status: str) -> int:
@@ -232,15 +159,13 @@ class VerificationSummary:
             f"{self.count(STATUS_DRC)} DRC-failed, "
             f"{self.count(STATUS_INEQUIVALENT)} inequivalent, "
             f"{self.count(STATUS_NO_SPEC)} without specification "
-            f"[{self.engine} engine]"
+            "[columnar engine]"
         )
 
 
 def verify_database(
     db,
     selection=None,
-    engine: str | None = None,
-    backend: str | None = None,
     num_vectors: int = DEFAULT_NUM_VECTORS,
     seed: int = DEFAULT_SEED,
 ) -> VerificationSummary:
@@ -251,11 +176,8 @@ def verify_database(
     are reported as ``no-spec``.  Mirroring ``verify_layout``, a
     DRC-failed artifact is not simulated.
     """
-    engine = resolve_engine(engine)
     records = gate_level_records(db, selection)
-    pairs = sweep_database(
-        db, records, engine=engine, backend=backend, with_signatures=True
-    )
+    pairs = sweep_database(db, records, with_signatures=True)
     spec_signatures: dict[tuple, tuple | None] = {}
     results = []
     for record, analysis in pairs:
@@ -284,7 +206,7 @@ def verify_database(
                 warnings=analysis.drc.warnings,
             )
         )
-    return VerificationSummary(engine=engine, records=tuple(results))
+    return VerificationSummary(records=tuple(results))
 
 
 def _spec_signature(db, suite, name, num_vectors, seed) -> tuple | None:
@@ -300,7 +222,7 @@ def _spec_signature(db, suite, name, num_vectors, seed) -> tuple | None:
 # ---------------------------------------------------------------------------
 
 
-def database_info(db, backend: str | None = None) -> dict:
+def database_info(db) -> dict:
     """One-shot database statistics for ``mnt-bench info``.
 
     Record counts per abstraction level, pack size and compression
@@ -318,11 +240,8 @@ def database_info(db, backend: str | None = None) -> dict:
 
     texts = db.store.read_texts([record.path for record in gate_records])
     batch = LayoutBatch.from_texts(texts)
-    backend = resolve_backend(backend)
     totals = {"gates": 0, "wires": 0, "crossings": 0, "area": 0}
-    for record, analysis in zip(
-        gate_records, analyze_batch(batch, backend=backend)
-    ):
+    for analysis in analyze_batch(batch):
         metrics = analysis.metrics
         if metrics is None:
             continue
@@ -349,5 +268,5 @@ def database_info(db, backend: str | None = None) -> dict:
         "facet_index": db.facet_sidecar_status(),
         "layout_totals": totals,
         "fallback_decodes": batch.fallback_decodes,
-        "backend": backend,
+        "backend": "numpy",
     }

@@ -15,19 +15,18 @@ Each kernel replicates one reference computation bit-for-bit:
   :data:`repro.networks.logic_network.GATE_EVAL_WORDS`.
 
 The bulk shape reductions (bounding box, kind counts, crossing counts)
-run through numpy when the resolved backend is ``numpy`` and through
-``array`` slice primitives otherwise; all outputs are exact ints, so
-the two backends are interchangeable by construction and the test
-suite asserts bit-identical results.
+run through numpy over the batch's ``array`` columns; all outputs are
+exact ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..layout.metrics import LayoutMetrics, metrics_from_counts
 from ..networks.simulation import EXHAUSTIVE_LIMIT, exhaustive_words, random_words
-from .backend import BACKEND_NUMPY, numpy_module, resolve_backend
 from .tables import (
     KIND_AND,
     KIND_ARITY,
@@ -143,48 +142,33 @@ def _kahn_order(batch: LayoutBatch, r0: int, r1: int):
 # ---------------------------------------------------------------------------
 
 
-def _shape_counts(batch: LayoutBatch, index: int, backend: str):
+def _shape_counts(batch: LayoutBatch, index: int):
     """(width, height, num_gates, num_wires, num_crossings) — the bulk
-    reductions, on the resolved backend."""
+    reductions."""
     r0, r1 = batch.rows(index)
     if r0 == r1:
         return 0, 0, 0, 0, 0
-    if backend == BACKEND_NUMPY:
-        np = numpy_module()
-        kinds = np.frombuffer(batch.kind, dtype=np.int8)[r0:r1]
-        gx = np.frombuffer(batch.gx, dtype=np.intc)[r0:r1]
-        gy = np.frombuffer(batch.gy, dtype=np.intc)[r0:r1]
-        gz = np.frombuffer(batch.gz, dtype=np.intc)[r0:r1]
-        width = int(gx.max()) + 1
-        height = int(gy.max()) + 1
-        num_wires = int((kinds == KIND_BUF).sum())
-        interface = int((kinds == KIND_PI).sum()) + int((kinds == KIND_PO).sum())
-        num_crossings = int((gz == 1).sum())
-    else:
-        kinds = batch.kind[r0:r1]
-        width = max(batch.gx[r0:r1]) + 1
-        height = max(batch.gy[r0:r1]) + 1
-        num_wires = kinds.count(KIND_BUF)
-        interface = kinds.count(KIND_PI) + kinds.count(KIND_PO)
-        num_crossings = batch.gz[r0:r1].count(1)
+    kinds = np.frombuffer(batch.kind, dtype=np.int8)[r0:r1]
+    gx = np.frombuffer(batch.gx, dtype=np.intc)[r0:r1]
+    gy = np.frombuffer(batch.gy, dtype=np.intc)[r0:r1]
+    gz = np.frombuffer(batch.gz, dtype=np.intc)[r0:r1]
+    width = int(gx.max()) + 1
+    height = int(gy.max()) + 1
+    num_wires = int((kinds == KIND_BUF).sum())
+    interface = int((kinds == KIND_PI).sum()) + int((kinds == KIND_PO).sum())
+    num_crossings = int((gz == 1).sum())
     num_gates = (r1 - r0) - num_wires - interface
     return width, height, num_gates, num_wires, num_crossings
 
 
 def layout_metrics(
-    batch: LayoutBatch,
-    index: int,
-    state: LayoutState | None = None,
-    backend: str | None = None,
+    batch: LayoutBatch, index: int, state: LayoutState | None = None
 ) -> LayoutMetrics | None:
     """Metrics of layout ``index`` (``None`` on broken connectivity)."""
     state = state or LayoutState(batch, index)
     if state.order is None:
         return None
-    backend = resolve_backend(backend)
-    width, height, num_gates, num_wires, num_crossings = _shape_counts(
-        batch, index, backend
-    )
+    width, height, num_gates, num_wires, num_crossings = _shape_counts(batch, index)
     critical_path, throughput = _timing(batch, index, state)
     return metrics_from_counts(
         width=width,
@@ -200,10 +184,10 @@ def layout_metrics(
 def _timing(batch: LayoutBatch, index: int, state: LayoutState) -> tuple[int, int]:
     """(critical path, throughput) in one pass over the topological order.
 
-    ``cp_depth`` counts tiles from 1 at sources (the reference
-    ``critical_path_length``); ``tp_depth`` counts hops from 0 (the
-    reference ``throughput``), whose reconvergence imbalance in full
-    clock cycles bounds the input rate.
+    ``cp_depth`` counts tiles from 1 at sources (the critical path of
+    ``compute_metrics``); ``tp_depth`` counts hops from 0, whose
+    reconvergence imbalance in full clock cycles bounds the input rate
+    (its throughput).
     """
     r0 = state.r0
     kind = batch.kind
@@ -460,7 +444,6 @@ def layout_signature(
 def analyze_layout(
     batch: LayoutBatch,
     index: int,
-    backend: str | None = None,
     max_fanout: int = DEFAULT_MAX_FANOUT,
     with_signature: bool = False,
     num_vectors: int = DEFAULT_NUM_VECTORS,
@@ -468,7 +451,7 @@ def analyze_layout(
 ) -> LayoutAnalysis:
     """Metrics + DRC (+ optional signature) sharing one derived state."""
     state = LayoutState(batch, index)
-    metrics = layout_metrics(batch, index, state, backend)
+    metrics = layout_metrics(batch, index, state)
     drc = layout_drc(batch, index, state, max_fanout)
     signature = None
     if with_signature and drc.ok:
@@ -485,19 +468,16 @@ def analyze_layout(
 
 def analyze_batch(
     batch: LayoutBatch,
-    backend: str | None = None,
     max_fanout: int = DEFAULT_MAX_FANOUT,
     with_signatures: bool = False,
     num_vectors: int = DEFAULT_NUM_VECTORS,
     seed: int = DEFAULT_SEED,
 ) -> list[LayoutAnalysis]:
-    """Analyse every layout of the batch (backend resolved once)."""
-    backend = resolve_backend(backend)
+    """Analyse every layout of the batch."""
     return [
         analyze_layout(
             batch,
             index,
-            backend=backend,
             max_fanout=max_fanout,
             with_signature=with_signatures,
             num_vectors=num_vectors,

@@ -8,8 +8,8 @@ One columnar pass over the database produces
   mean area per suite × clocking scheme × gate library × algorithm),
 * the paper-style **Table I rendering** via
   :func:`repro.core.table.database_table_rows` /
-  :func:`repro.core.table.format_table` — byte-identical between the
-  columnar and reference engines (the golden test in
+  :func:`repro.core.table.format_table` — byte-identical to the report
+  the per-artifact object path yields (the golden test in
   ``tests/analytics/test_report.py`` asserts it).
 
 Renderers: :meth:`AnalyticsReport.to_markdown`, ``to_csv`` and
@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass
 
 from ..core.table import database_table_rows, format_table
-from .engine import best_pairs, gate_level_records, resolve_engine, sweep_database
+from .engine import best_pairs, gate_level_records, sweep_database
 
 
 def algorithm_label(record) -> str:
@@ -81,7 +81,6 @@ class AggregateRow:
 class AnalyticsReport:
     """The full report: best rows, aggregates, Table I renderings."""
 
-    engine: str
     num_artifacts: int
     rows: tuple[ReportRow, ...]
     aggregates: tuple[AggregateRow, ...]
@@ -94,7 +93,7 @@ class AnalyticsReport:
         lines = [
             "# MNT Bench report",
             "",
-            f"- engine: `{self.engine}`",
+            "- engine: `columnar`",
             f"- gate-level artifacts analysed: {self.num_artifacts}",
             "",
             "## Best layouts (computed metrics)",
@@ -177,7 +176,7 @@ class AnalyticsReport:
     def to_json(self) -> str:
         return json.dumps(
             {
-                "engine": self.engine,
+                "engine": "columnar",
                 "num_artifacts": self.num_artifacts,
                 "best": [row.to_json() for row in self.rows],
                 "aggregates": [agg.to_json() for agg in self.aggregates],
@@ -204,16 +203,10 @@ def _cell(value) -> str:
     return "—" if value is None else str(value)
 
 
-def build_report(
-    db,
-    selection=None,
-    engine: str | None = None,
-    backend: str | None = None,
-) -> AnalyticsReport:
+def build_report(db, selection=None) -> AnalyticsReport:
     """Sweep the database once and assemble the full report."""
-    engine = resolve_engine(engine)
     records = gate_level_records(db, selection)
-    pairs = sweep_database(db, records, engine=engine, backend=backend)
+    pairs = sweep_database(db, records)
 
     rows = tuple(
         _report_row(record, analysis) for record, analysis in best_pairs(pairs)
@@ -253,7 +246,6 @@ def build_report(
         for library in libraries
     }
     return AnalyticsReport(
-        engine=engine,
         num_artifacts=len(records),
         rows=rows,
         aggregates=tuple(aggregates),

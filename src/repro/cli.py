@@ -319,7 +319,7 @@ def _cmd_report(args) -> int:
 
     _, selection = _filters(args)
     db = BenchmarkDatabase(args.database)
-    report = db.report(selection, engine=args.engine, backend=args.backend)
+    report = db.report(selection)
     text = report.render(args.format)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -333,7 +333,7 @@ def _cmd_info(args) -> int:
     from .core import BenchmarkDatabase
 
     db = BenchmarkDatabase(args.database)
-    info = db.info(backend=args.backend)
+    info = db.info()
     if args.json:
         print(json.dumps(info, indent=2, sort_keys=True))
         return 0
@@ -370,7 +370,7 @@ def _cmd_verify(args) -> int:
 
     _, selection = _filters(args)
     db = BenchmarkDatabase(args.database)
-    summary = db.verify_all(selection, engine=args.engine, backend=args.backend)
+    summary = db.verify_all(selection)
     for record in summary.records:
         if record.status != "ok" or args.verbose:
             print(
@@ -655,21 +655,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", default="markdown", choices=["markdown", "csv", "json"]
     )
     report.add_argument("--output", default=None, help="write to file instead of stdout")
-    report.add_argument(
-        "--engine", default=None, choices=["columnar", "reference"],
-        help="analytics engine (default: columnar)",
-    )
-    report.add_argument(
-        "--backend", default=None, choices=["auto", "numpy", "stdlib"],
-        help="columnar numeric backend (default: auto)",
-    )
 
     info = sub.add_parser("info", help="database statistics")
     info.add_argument("--database", default="mnt_bench_db")
     info.add_argument("--json", action="store_true")
-    info.add_argument(
-        "--backend", default=None, choices=["auto", "numpy", "stdlib"]
-    )
 
     verify = sub.add_parser(
         "verify", help="re-verify every stored artifact (DRC + equivalence)"
@@ -678,12 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", action="append")
     verify.add_argument("--benchmark", action="append", metavar="SUITE/NAME")
     verify.add_argument("--library", action="append")
-    verify.add_argument(
-        "--engine", default=None, choices=["columnar", "reference"]
-    )
-    verify.add_argument(
-        "--backend", default=None, choices=["auto", "numpy", "stdlib"]
-    )
     verify.add_argument(
         "--verbose", action="store_true", help="also print passing artifacts"
     )

@@ -872,36 +872,34 @@ class BenchmarkDatabase:
 
     # -- batch analytics -------------------------------------------------------
 
-    def best(self, selection: Selection | None = None, engine=None, backend=None):
+    def best(self, selection: Selection | None = None):
         """Best (record, analysis) per (suite, function, gate library),
         ranked on metrics *computed from the artifacts* by the analytics
         engine — unlike ``query(best_only=True)``, which trusts the
         recorded metadata."""
         from ..analytics.engine import best_database
 
-        return best_database(self, selection, engine=engine, backend=backend)
+        return best_database(self, selection)
 
-    def verify_all(
-        self, selection: Selection | None = None, engine=None, backend=None
-    ):
+    def verify_all(self, selection: Selection | None = None):
         """Re-verify every gate-level artifact (DRC + output signature
         against its Verilog specification) in one batch sweep."""
         from ..analytics.engine import verify_database
 
-        return verify_database(self, selection, engine=engine, backend=backend)
+        return verify_database(self, selection)
 
-    def report(self, selection: Selection | None = None, engine=None, backend=None):
+    def report(self, selection: Selection | None = None):
         """The ``mnt-bench report`` payload: best layouts, Figure-1
         aggregates and Table I renderings from one sweep."""
         from ..analytics.report import build_report
 
-        return build_report(self, selection, engine=engine, backend=backend)
+        return build_report(self, selection)
 
-    def info(self, backend=None) -> dict:
+    def info(self) -> dict:
         """Database statistics for ``mnt-bench info``."""
         from ..analytics.engine import database_info
 
-        return database_info(self, backend=backend)
+        return database_info(self)
 
     # -- generation ----------------------------------------------------------------
 

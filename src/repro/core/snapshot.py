@@ -166,15 +166,15 @@ class DatabaseSnapshot:
 
     # -- analytics passthroughs ----------------------------------------------
 
-    def best(self, selection: Selection | None = None, engine=None, backend=None):
+    def best(self, selection: Selection | None = None):
         from ..analytics.engine import best_database
 
-        return best_database(self, selection, engine=engine, backend=backend)
+        return best_database(self, selection)
 
-    def report(self, selection: Selection | None = None, engine=None, backend=None):
+    def report(self, selection: Selection | None = None):
         from ..analytics.report import build_report
 
-        return build_report(self, selection, engine=engine, backend=backend)
+        return build_report(self, selection)
 
 
 def make_snapshot(

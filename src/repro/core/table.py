@@ -130,25 +130,22 @@ def database_table_rows(
     db,
     library: str = QCA_ONE,
     selection=None,
-    engine: str | None = None,
-    backend: str | None = None,
     pairs=None,
 ) -> list[TableRow]:
     """Table I rows straight from a benchmark database.
 
     Instead of re-running the portfolio (:func:`table_row`), the rows
-    tabulate the artifacts already in the database: one columnar (or
-    reference — the ``engine`` argument) sweep computes every metric,
-    the area-best artifact per function wins, and the interface counts
-    come from the decoded layouts themselves.  Both engines produce
-    byte-identical renderings; pass ``pairs`` to reuse an existing
+    tabulate the artifacts already in the database: one columnar sweep
+    computes every metric, the area-best artifact per function wins, and
+    the interface counts come from the decoded layouts themselves.  Pass
+    ``pairs`` to reuse an existing
     :func:`repro.analytics.engine.sweep_database` result.
     """
     from ..analytics.engine import best_pairs, gate_level_records, sweep_database
 
     if pairs is None:
         records = gate_level_records(db, selection)
-        pairs = sweep_database(db, records, engine=engine, backend=backend)
+        pairs = sweep_database(db, records)
     rows = []
     for record, analysis in best_pairs(pairs):
         if (record.gate_library or "") != library:

@@ -91,21 +91,17 @@ def hex_port(tile: Tile, neighbor: Tile) -> str:
     return name
 
 
-def apply_bestagon(layout: GateLayout, engine: str = "blocks") -> SiDBLayout:
+def apply_bestagon(layout: GateLayout) -> SiDBLayout:
     """Compile a hexagonal gate-level layout into a schematic SiDB layout.
 
-    The default ``"blocks"`` engine memoizes the dot pattern of each
-    (gate type, used-port set) tile shape once and stamps it per
-    occupied tile with a single set-update — dot emission scales with
-    occupied tiles and distinct shapes.  The ``"reference"`` engine is
-    the retained per-tile emission; both produce identical layouts.
+    The dot pattern of each (gate type, used-port set) tile shape is
+    computed once and stamped per occupied tile with a single
+    set-update, so dot emission scales with occupied tiles and distinct
+    shapes.  The cell golden corpus (``tests/gatelibs/test_cell_golden.py``)
+    pins the resulting ``.sqd`` bytes.
     """
     if layout.topology is not Topology.HEXAGONAL_EVEN_ROW:
         raise BestagonError("Bestagon targets hexagonal layouts; hexagonalize first")
-    if engine == "reference":
-        return _apply_reference(layout)
-    if engine != "blocks":
-        raise ValueError(f"unknown Bestagon engine {engine!r}")
     sidb = SiDBLayout(name=layout.name)
     dots = sidb.dots
     templates: dict[tuple, tuple] = {}
@@ -143,32 +139,18 @@ def apply_bestagon(layout: GateLayout, engine: str = "blocks") -> SiDBLayout:
     return sidb
 
 
-def _apply_reference(layout: GateLayout) -> SiDBLayout:
-    """Per-tile dot emission — the retained reference oracle."""
-    sidb = SiDBLayout(name=layout.name)
-    for tile, gate in layout.tiles():
-        if gate.gate_type not in SUPPORTED_GATES:
-            raise BestagonError(
-                f"Bestagon has no tile for {gate.gate_type.value}"
-            )
-        if tile.z == 1:
-            continue  # crossings share the ground tile's hexagon
-        _emit_tile(sidb, layout, tile, gate)
-    return sidb
-
-
 def _tile_dot_offsets(gate_type: GateType, used_ports: list[str]) -> tuple:
-    """Dot offsets of one tile shape, relative to its origin.
-
-    Mirrors :func:`_emit_tile`'s emission (port BDL pairs, spine chain,
-    PI/PO label dot) as pure offsets so the ``"blocks"`` engine can
-    stamp the shape anywhere by translation.
-    """
+    """Dot offsets of one tile shape, relative to its origin: port BDL
+    pairs, spine chain and PI/PO label dot, as pure offsets so the shape
+    can be stamped anywhere by translation."""
     offsets: set[tuple[int, int, int]] = set()
+    # BDL pair at every used port.
     for port in used_ports:
         dn, dm = _PORTS.get(port, _PORTS["NW"])
         offsets.add((dn, dm, 0))
         offsets.add((dn + 2, dm, 1))
+    # Schematic body: a BDL chain down the tile's spine sized by the
+    # published tile's dot budget.
     budget = _BODY_DOTS.get(gate_type, 16)
     spine_n = TILE_WIDTH // 2
     for i in range(budget // 2):
@@ -189,46 +171,3 @@ def _tile_origin(tile: Tile) -> tuple[int, int]:
     # offset coordinates of the gate level.
     shift = TILE_WIDTH // 2 if tile.y % 2 == 0 else 0
     return tile.x * TILE_WIDTH + shift, tile.y * TILE_HEIGHT
-
-
-def _emit_tile(sidb: SiDBLayout, layout: GateLayout, tile: Tile, gate) -> None:
-    base_n, base_m = _tile_origin(tile)
-
-    used_ports: list[str] = []
-    for fanin in gate.fanins:
-        used_ports.append(hex_port(tile, fanin.ground))
-    for reader in layout.readers(tile):
-        if reader.ground != tile.ground:
-            used_ports.append(hex_port(tile, reader.ground))
-    above = layout.get(tile.above)
-    if above is not None:
-        used_ports.append(hex_port(tile, above.fanins[0].ground))
-        for reader in layout.readers(tile.above):
-            if reader.ground != tile.ground:
-                used_ports.append(hex_port(tile, reader.ground))
-
-    # BDL pair at every used port.
-    for port in used_ports:
-        dn, dm = _PORTS.get(port, _PORTS["NW"])
-        sidb.add_dot(base_n + dn, base_m + dm, 0)
-        sidb.add_dot(base_n + dn + 2, base_m + dm, 1)
-
-    # Schematic body: a BDL chain down the tile's spine sized by the
-    # published tile's dot budget.
-    budget = _BODY_DOTS.get(gate.gate_type, 16)
-    spine_n = base_n + TILE_WIDTH // 2
-    for i in range(budget // 2):
-        m = base_m + 4 + i * max(2, (TILE_HEIGHT - 8) // max(1, budget // 2))
-        if m >= base_m + TILE_HEIGHT - 2:
-            break
-        sidb.add_dot(spine_n, m, 0)
-        sidb.add_dot(spine_n + 2, m, 1)
-
-    if gate.gate_type is GateType.PI:
-        key = (base_n + _PORTS["NW"][0], base_m + _PORTS["NW"][1], 0)
-        sidb.add_dot(*key)
-        sidb.input_labels[key] = gate.name or "pi"
-    if gate.gate_type is GateType.PO:
-        key = (base_n + _PORTS["SE"][0], base_m + _PORTS["SE"][1], 0)
-        sidb.add_dot(*key)
-        sidb.output_labels[key] = gate.name or "po"

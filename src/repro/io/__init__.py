@@ -14,7 +14,6 @@ __all__, __getattr__, __dir__ = lazy_namespace(__name__, {
         "fgl_to_layout",
         "fgl_to_layout_xml",
         "layout_to_fgl",
-        "layout_to_fgl_reference",
         "read_fgl",
         "write_fgl",
     ),

@@ -18,7 +18,7 @@ layout again, so both directions avoid building a DOM:
 * :func:`layout_to_fgl` emits the canonical pretty-printed document
   directly — byte-for-byte identical to the historical
   ``minidom.parseString(ET.tostring(...)).toprettyxml(indent="    ")``
-  round trip, which is retained as :func:`layout_to_fgl_reference`.
+  round trip, which ``tests/io/test_fgl.py`` keeps as its oracle.
 * Reading has two tiers.  :func:`scan_canonical` matches the exact bytes
   the writer emits with a few compiled regexes and returns the header
   fields and the gates as columns; it is the only copy of that grammar,
@@ -96,8 +96,8 @@ class FglError(ValueError):
 
 def _escape_text(value: str) -> str:
     """Text-node escaping exactly as ``minidom`` performs it (``&``, ``<``,
-    ``"``, ``>`` — in that order), so the streaming writer stays
-    byte-identical to the pretty-printed reference output."""
+    ``"``, ``>`` — in that order), so the streaming ``.fgl`` and ``.sqd``
+    writers stay byte-identical to the historical pretty-printed output."""
     return (
         value.replace("&", "&amp;")
         .replace("<", "&lt;")
@@ -184,63 +184,6 @@ def layout_to_fgl(layout: GateLayout) -> str:
         append("        </gate>\n")
     append("    </gates>\n</fgl>\n")
     return "".join(out)
-
-
-def layout_to_fgl_reference(layout: GateLayout) -> str:
-    """The historical DOM-based writer, retained as the byte-level oracle
-    for :func:`layout_to_fgl` (see ``check_fgl_roundtrip`` in
-    :mod:`repro.qa.oracles` and the golden tests in ``tests/io``)."""
-    from xml.dom import minidom
-
-    root = ET.Element("fgl")
-    ET.SubElement(root, "version").text = FGL_VERSION
-
-    header = ET.SubElement(root, "layout")
-    ET.SubElement(header, "name").text = layout.name or "layout"
-    ET.SubElement(header, "topology").text = _TOPOLOGY_TO_TAG[layout.topology]
-    size = ET.SubElement(header, "size")
-    ET.SubElement(size, "x").text = str(layout.width)
-    ET.SubElement(size, "y").text = str(layout.height)
-    ET.SubElement(size, "z").text = "1"
-    clocking = ET.SubElement(header, "clocking")
-    ET.SubElement(clocking, "name").text = layout.scheme.name
-    if not layout.scheme.regular:
-        zones = ET.SubElement(clocking, "zones")
-        for tile, _ in layout.tiles():
-            if tile.z != 0:
-                continue
-            zone = ET.SubElement(zones, "zone")
-            ET.SubElement(zone, "x").text = str(tile.x)
-            ET.SubElement(zone, "y").text = str(tile.y)
-            ET.SubElement(zone, "clock").text = str(layout.zone(tile))
-
-    gates = ET.SubElement(root, "gates")
-    ids: dict[Tile, int] = {}
-    ordered = _serialisation_order(layout)
-    for index, tile in enumerate(ordered):
-        ids[tile] = index
-    for tile in ordered:
-        gate = layout.get(tile)
-        assert gate is not None
-        node = ET.SubElement(gates, "gate")
-        ET.SubElement(node, "id").text = str(ids[tile])
-        ET.SubElement(node, "type").text = _TYPE_TO_TAG[gate.gate_type]
-        if gate.name:
-            ET.SubElement(node, "name").text = gate.name
-        loc = ET.SubElement(node, "loc")
-        ET.SubElement(loc, "x").text = str(tile.x)
-        ET.SubElement(loc, "y").text = str(tile.y)
-        ET.SubElement(loc, "z").text = str(tile.z)
-        if gate.fanins:
-            incoming = ET.SubElement(node, "incoming")
-            for fanin in gate.fanins:
-                signal = ET.SubElement(incoming, "signal")
-                ET.SubElement(signal, "x").text = str(fanin.x)
-                ET.SubElement(signal, "y").text = str(fanin.y)
-                ET.SubElement(signal, "z").text = str(fanin.z)
-
-    raw = ET.tostring(root, encoding="unicode")
-    return minidom.parseString(raw).toprettyxml(indent="    ")
 
 
 def _serialisation_order(layout: GateLayout) -> list[Tile]:

@@ -79,26 +79,20 @@ def _closing(label: str | None) -> str:
     return f"[TYPE:QCADLabel]\npsz={label}\n[#TYPE:QCADLabel]\n[#TYPE:QCADCell]\n"
 
 
-def cell_layout_to_qca(layout: QCACellLayout, engine: str = "stream") -> str:
+def cell_layout_to_qca(layout: QCACellLayout) -> str:
     """Serialise a QCA cell layout in QCADesigner file syntax.
 
-    The default ``"stream"`` engine groups cell positions by layer in
-    one pass and sorts each layer's positions once — O(C log C) total.
-    A cell block is then four memoized text pieces: the block head per
-    (cell type, layer > 0), the ``x=…`` and ``y=…`` lines per
-    coordinate, and the closing lines per label; no float is formatted
-    per cell.  The ``"reference"`` engine is the retained original
-    (which re-sorts the full cell dict once *per layer*); both emit
-    byte-identical files, which the differential tests, the cell golden
-    corpus and the scalability bench oracle assert.
+    Cell positions are grouped by layer in one pass and each layer's
+    positions sorted once — O(C log C) total.  A cell block is then
+    four memoized text pieces: the block head per (cell type,
+    layer > 0), the ``x=…`` and ``y=…`` lines per coordinate, and the
+    closing lines per label; no float is formatted per cell.  The cell
+    golden corpus (``tests/gatelibs/test_cell_golden.py``) pins the
+    bytes.
 
     A label with a line break raises :class:`ValueError`: the reader
     would take its second line for file syntax.
     """
-    if engine == "reference":
-        return _to_qca_reference(layout)
-    if engine != "stream":
-        raise ValueError(f"unknown .qca writer engine {engine!r}")
     cells = layout.cells
     by_layer: dict[int, list] = {}
     for key in cells:
@@ -125,53 +119,6 @@ def cell_layout_to_qca(layout: QCACellLayout, engine: str = "stream") -> str:
         parts.append("[#TYPE:QCADLayer]\n")
     parts.append("[#TYPE:DESIGN]\n")
     return "".join(parts)
-
-
-def _to_qca_reference(layout: QCACellLayout) -> str:
-    """The retained original writer — the byte-equality oracle."""
-    lines: list[str] = []
-    lines.append("[VERSION]")
-    lines.append("qcadesigner_version=2.000000")
-    lines.append("[#VERSION]")
-    lines.append("[TYPE:DESIGN]")
-
-    layers = sorted({layer for (_, _, layer) in layout.cells})
-    for layer in layers:
-        lines.append("[TYPE:QCADLayer]")
-        lines.append("type=1")
-        lines.append(f"status=0")
-        lines.append(f"pszDescription=layer {layer}")
-        for (x, y, cell_layer), cell in sorted(layout.cells.items()):
-            if cell_layer != layer:
-                continue
-            cx = x * CELL_PITCH_NM
-            cy = y * CELL_PITCH_NM
-            lines.append("[TYPE:QCADCell]")
-            lines.append(f"cell_options.cxCell={CELL_PITCH_NM:.6f}")
-            lines.append(f"cell_options.cyCell={CELL_PITCH_NM:.6f}")
-            lines.append(f"cell_options.dot_diameter={CELL_PITCH_NM / 4:.6f}")
-            mode = (
-                "QCAD_CELL_MODE_CROSSOVER"
-                if cell.cell_type is QCACellType.ROTATED or layer > 0
-                else "QCAD_CELL_MODE_NORMAL"
-            )
-            lines.append(f"cell_options.mode={mode}")
-            lines.append(f"cell_function={_FUNCTION[cell.cell_type]}")
-            if cell.cell_type is QCACellType.FIXED_0:
-                lines.append("cell_options.polarization=-1.000000")
-            elif cell.cell_type is QCACellType.FIXED_1:
-                lines.append("cell_options.polarization=1.000000")
-            lines.append(f"x={cx:.6f}")
-            lines.append(f"y={cy:.6f}")
-            if cell.label:
-                lines.append("[TYPE:QCADLabel]")
-                lines.append(f"psz={cell.label}")
-                lines.append("[#TYPE:QCADLabel]")
-            lines.append("[#TYPE:QCADCell]")
-        lines.append("[#TYPE:QCADLayer]")
-
-    lines.append("[#TYPE:DESIGN]")
-    return "\n".join(lines) + "\n"
 
 
 def write_qca(layout: QCACellLayout, path) -> None:

@@ -11,33 +11,24 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from pathlib import Path
-from xml.dom import minidom
 
 from ..celllayout.cell_layout import SiDBLayout
+from .fgl import _escape_text
 
 
 class SqdError(ValueError):
     """Raised for malformed ``.sqd`` content."""
 
 
-def _escape_text(value: str) -> str:
-    return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def sidb_layout_to_sqd(layout: SiDBLayout, engine: str = "stream") -> str:
+def sidb_layout_to_sqd(layout: SiDBLayout) -> str:
     """Serialise an SiDB layout in SiQAD XML syntax.
 
-    The default ``"stream"`` engine builds the document with a flat
-    string builder — one append per dot, no DOM tree.  The
-    ``"reference"`` engine is the retained original (ElementTree +
-    minidom pretty-print, which materialises the whole document twice);
-    both emit byte-identical XML, which the differential tests and the
-    scalability bench oracle assert.
+    Builds the document with a flat string builder — one append per
+    dot, no DOM tree — in the pretty-printed form of the historical
+    ElementTree + minidom writer, escaping text as minidom does (the
+    escaper is shared with the ``.fgl`` writer).  The cell golden corpus
+    (``tests/gatelibs/test_cell_golden.py``) pins the bytes.
     """
-    if engine == "reference":
-        return _to_sqd_reference(layout)
-    if engine != "stream":
-        raise ValueError(f"unknown .sqd writer engine {engine!r}")
     name = _escape_text(layout.name or "sidb_layout")
     parts: list[str] = [
         '<?xml version="1.0" ?>\n'
@@ -75,31 +66,6 @@ def sidb_layout_to_sqd(layout: SiDBLayout, engine: str = "stream") -> str:
         parts.append("        </layer>\n")
     parts.append("    </design>\n</siqad>\n")
     return "".join(parts)
-
-
-def _to_sqd_reference(layout: SiDBLayout) -> str:
-    """The retained original writer — the byte-equality oracle."""
-    root = ET.Element("siqad")
-    program = ET.SubElement(root, "program")
-    ET.SubElement(program, "file_purpose").text = "save"
-    ET.SubElement(program, "name").text = layout.name or "sidb_layout"
-
-    design = ET.SubElement(root, "design")
-    layer = ET.SubElement(design, "layer", type="DB")
-    for n, m, l in sorted(layout.dots):
-        dbdot = ET.SubElement(layer, "dbdot")
-        ET.SubElement(dbdot, "layer_id").text = "2"
-        ET.SubElement(dbdot, "latcoord", n=str(n), m=str(m), l=str(l))
-        label = layout.input_labels.get((n, m, l))
-        role = "input"
-        if label is None:
-            label = layout.output_labels.get((n, m, l))
-            role = "output"
-        if label:
-            ET.SubElement(dbdot, "label", type=role).text = label
-
-    raw = ET.tostring(root, encoding="unicode")
-    return minidom.parseString(raw).toprettyxml(indent="    ")
 
 
 def write_sqd(layout: SiDBLayout, path) -> None:

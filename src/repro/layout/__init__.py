@@ -33,7 +33,7 @@ __all__, __getattr__, __dir__ = lazy_namespace(__name__, {
         "get_scheme",
     ),
     ".gate_layout": ("GateLayout", "LayoutGate"),
-    ".metrics": ("LayoutMetrics", "compute_metrics", "critical_path_length", "throughput"),
+    ".metrics": ("LayoutMetrics", "compute_metrics"),
     ".verification": ("DrcReport", "check_layout"),
     ".equivalence": ("layout_equivalent", "verify_layout"),
     ".svg": ("layout_to_svg", "write_svg"),

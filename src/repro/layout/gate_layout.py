@@ -69,42 +69,6 @@ def _raster_key(tile: Tile) -> tuple[int, int, int]:
 
 
 @dataclass(frozen=True)
-class WireSegment:
-    """A maximal straight run of chained wire segments.
-
-    ``tiles`` lists the run in signal order; consecutive tiles advance
-    by the same ground-projection step (``dx``, ``dy``), the crossing
-    layer is free to hop mid-run (L-path wires drop to ``z = 1`` over
-    occupied ground tiles).  Produced by
-    :meth:`GateLayout.wire_segments`; every wire of a layout belongs to
-    exactly one segment.
-    """
-
-    tiles: tuple[Tile, ...]
-    dx: int
-    dy: int
-
-    @property
-    def start(self) -> Tile:
-        return self.tiles[0]
-
-    @property
-    def end(self) -> Tile:
-        return self.tiles[-1]
-
-    def __len__(self) -> int:
-        return len(self.tiles)
-
-    @property
-    def horizontal(self) -> bool:
-        return self.dy == 0 and self.dx != 0
-
-    @property
-    def vertical(self) -> bool:
-        return self.dx == 0 and self.dy != 0
-
-
-@dataclass(frozen=True)
 class LayoutGate:
     """One occupied tile: its function, fanin tiles, and optional name."""
 
@@ -323,98 +287,13 @@ class GateLayout:
         """Occupied (tile, element) pairs in raster order — O(n log n).
 
         Raster order is (y, x, z): row-major over the ground projection
-        with the crossing layer directly after its ground tile.  The
-        sequence is exactly what :meth:`dense_tiles` yields, but derived
-        from the occupied set alone, never touching empty positions.
+        with the crossing layer directly after its ground tile — the
+        order a scan of the full grid would yield, derived from the
+        occupied set alone, never touching empty positions.
         """
         tiles = self._tiles
         for tile in sorted(tiles, key=_raster_key):
             yield tile, tiles[tile]
-
-    def dense_tiles(self):
-        """Reference raster scan over the full grid — O(area).
-
-        Retained as the oracle for :meth:`sparse_tiles`: it walks every
-        position of both layers in (y, x, z) order and yields the
-        occupied ones, so differential tests can prove the sparse walk
-        visits the same tiles in the same order.
-        """
-        width = self.width
-        ground, above = self._grid[0], self._grid[1]
-        for y in range(self.height):
-            base = y * width
-            for x in range(width):
-                gate = ground[base + x]
-                if gate is not None:
-                    yield Tile(x, y, 0), gate
-                gate = above[base + x]
-                if gate is not None:
-                    yield Tile(x, y, 1), gate
-
-    def wire_segments(self) -> list[WireSegment]:
-        """Run-length decomposition of the wiring — O(wires).
-
-        A wire continues its fanin's segment when the fanin is itself a
-        wire, the ground-projection step is the same as the fanin's own
-        incoming step, and no sibling reader competes for the same
-        straight continuation.  Everything else starts a new segment, so
-        segments are maximal straight chains, each wire belongs to
-        exactly one, and corners/fanouts/crossing entries all break
-        runs.  Segments are returned with their heads in raster order.
-        """
-        tiles = self._tiles
-        readers = self._readers
-        parent: dict[Tile, Tile] = {}
-        successor: dict[Tile, Tile] = {}
-        for tile, gate in tiles.items():
-            if gate.gate_type is not GateType.BUF:
-                continue
-            fanin = gate.fanins[0]
-            fanin_gate = tiles.get(fanin)
-            if fanin_gate is None or fanin_gate.gate_type is not GateType.BUF:
-                continue
-            step = (fanin.x - fanin_gate.fanins[0].x, fanin.y - fanin_gate.fanins[0].y)
-            if (tile.x - fanin.x, tile.y - fanin.y) != step:
-                continue
-            contested = False
-            for sibling in readers.get(fanin, ()):
-                if sibling == tile:
-                    continue
-                other = tiles.get(sibling)
-                if (
-                    other is not None
-                    and other.gate_type is GateType.BUF
-                    and (sibling.x - fanin.x, sibling.y - fanin.y) == step
-                ):
-                    contested = True
-                    break
-            if contested:
-                continue
-            parent[tile] = fanin
-            successor[fanin] = tile
-        heads = sorted(
-            (
-                tile
-                for tile, gate in tiles.items()
-                if gate.gate_type is GateType.BUF and tile not in parent
-            ),
-            key=_raster_key,
-        )
-        segments: list[WireSegment] = []
-        for head in heads:
-            run = [head]
-            while True:
-                nxt = successor.get(run[-1])
-                if nxt is None:
-                    break
-                run.append(nxt)
-            if len(run) > 1:
-                dx, dy = run[1].x - run[0].x, run[1].y - run[0].y
-            else:
-                fanin = tiles[head].fanins[0]
-                dx, dy = head.x - fanin.x, head.y - fanin.y
-            segments.append(WireSegment(tuple(run), dx, dy))
-        return segments
 
     def pis(self) -> list[Tile]:
         return list(self._pis)
@@ -640,9 +519,7 @@ class GateLayout:
 
     # -- extraction ----------------------------------------------------------------------
 
-    def extract_network(
-        self, collapse_wires: bool = True, engine: str = "sparse"
-    ) -> LogicNetwork:
+    def extract_network(self, collapse_wires: bool = True) -> LogicNetwork:
         """Rebuild the implemented :class:`LogicNetwork` for verification.
 
         With ``collapse_wires`` (the default) wire segments and fanout
@@ -654,22 +531,11 @@ class GateLayout:
         count.  Pass ``collapse_wires=False`` for the structural 1:1
         extraction (one node per occupied tile).
 
-        The ``"sparse"`` engine (default) orders the emission by the
-        raster walk of the occupied set (:meth:`sparse_tiles`) and the
-        ``"reference"`` engine by the retained dense grid scan
-        (:meth:`dense_tiles`); the walks yield the same sequence, so the
-        two engines produce node-for-node identical networks — the
-        differential relation the ``sparse_agreement`` oracle asserts.
-        ``"insertion"`` keeps the legacy insertion-ordered emission.
+        Nodes are emitted in the topological order seeded by the raster
+        walk of the occupied set (:meth:`sparse_tiles`), so the network
+        does not depend on the order the layout was built in.
         """
-        if engine == "sparse":
-            order = self.topological_tiles(self.sparse_tiles())
-        elif engine == "reference":
-            order = self.topological_tiles(self.dense_tiles())
-        elif engine == "insertion":
-            order = self.topological_tiles()
-        else:
-            raise ValueError(f"unknown extraction engine {engine!r}")
+        order = self.topological_tiles(self.sparse_tiles())
         ntk = LogicNetwork(self.name)
         signal: dict[Tile, int] = {}
         # PIs first, in placement order, so the network interface matches

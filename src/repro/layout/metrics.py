@@ -62,56 +62,21 @@ def metrics_from_counts(
     )
 
 
-def critical_path_length(layout: GateLayout) -> int:
-    """Longest PI→PO path in tiles (including both endpoints)."""
-    depth: dict = {}
-    best = 0
-    for tile in layout.topological_tiles():
-        gate = layout.get(tile)
-        assert gate is not None
-        if gate.fanins:
-            depth[tile] = 1 + max(depth[f] for f in gate.fanins)
-        else:
-            depth[tile] = 1
-        if gate.is_po:
-            best = max(best, depth[tile])
-    return best
-
-
-def throughput(layout: GateLayout) -> int:
-    """Throughput denominator: a new input is accepted every ``1/x`` cycles.
-
-    In a four-phase clocked layout, reconvergent paths whose lengths
-    differ by a non-multiple of the number of phases force the layout to
-    wait additional cycles between inputs.  The throughput is determined
-    by the largest path-length imbalance, measured in full clock cycles,
-    over all reconvergent fanins — the computation fiction performs for
-    its ``critical_path_length_and_throughput`` call.
-    """
-    phases = layout.scheme.num_phases
-    depth: dict = {}
-    worst = 0
-    for tile in layout.topological_tiles():
-        gate = layout.get(tile)
-        assert gate is not None
-        if not gate.fanins:
-            depth[tile] = 0
-            continue
-        fanin_depths = [depth[f] for f in gate.fanins]
-        depth[tile] = 1 + max(fanin_depths)
-        if len(fanin_depths) > 1:
-            imbalance = max(fanin_depths) - min(fanin_depths)
-            worst = max(worst, imbalance // phases)
-    return worst + 1
-
-
 def _critical_path_and_throughput(layout: GateLayout) -> tuple[int, int]:
-    """Both timing figures from one shared topological pass.
+    """(critical path, throughput) from one topological pass.
 
-    Depths here use the critical-path convention (sources at 1); the
-    throughput convention (sources at 0) shifts every tile's depth by
-    the same constant, so reconvergence imbalances — and therefore the
-    throughput — are unchanged.
+    The critical path is the longest PI→PO path in tiles, both endpoints
+    included.  The throughput denominator says a new input is accepted
+    every ``1/x`` cycles: in a clocked layout, reconvergent paths whose
+    lengths differ by a non-multiple of the number of phases force the
+    layout to wait additional cycles between inputs, so ``x`` is one
+    plus the largest path-length imbalance over all reconvergent fanins,
+    in full clock cycles — the computation fiction performs for its
+    ``critical_path_length_and_throughput`` call.
+
+    Depths here count tiles from 1 at the sources; counting hops from 0
+    instead shifts every depth by the same constant, so the imbalances
+    are the same either way.
     """
     phases = layout.scheme.num_phases
     depth: dict = {}
@@ -135,28 +100,14 @@ def _critical_path_and_throughput(layout: GateLayout) -> tuple[int, int]:
     return best, worst + 1
 
 
-def compute_metrics(layout: GateLayout, engine: str = "sparse") -> LayoutMetrics:
+def compute_metrics(layout: GateLayout) -> LayoutMetrics:
     """All metrics of a layout in one pass-friendly record.
 
-    The default ``"sparse"`` engine makes a single counting pass over
-    the occupied tiles and shares one topological pass between the
-    critical path and the throughput.  The ``"reference"`` engine is the
-    retained original — one pass per figure — and the differential
-    oracle the fast engine is proven bit-identical against.
+    One counting pass over the occupied tiles, and one topological pass
+    shared between the critical path and the throughput.  Raises
+    :class:`ValueError` when the connectivity is cyclic or dangling.
     """
     width, height = layout.bounding_box()
-    if engine == "reference":
-        return metrics_from_counts(
-            width=width,
-            height=height,
-            num_gates=layout.num_gates(),
-            num_wires=layout.num_wires(),
-            num_crossings=layout.num_crossings(),
-            critical_path=critical_path_length(layout),
-            throughput=throughput(layout),
-        )
-    if engine != "sparse":
-        raise ValueError(f"unknown metrics engine {engine!r}")
     gates = wires = crossings = 0
     for tile, gate in layout.tiles():
         if gate.is_wire:

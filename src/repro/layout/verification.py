@@ -58,39 +58,14 @@ def check_layout(
     layout: GateLayout,
     max_fanout: int = 2,
     require_border_io: bool = False,
-    engine: str = "sparse",
 ) -> DrcReport:
     """Run all design-rule checks over ``layout``.
 
-    The default ``"sparse"`` engine performs one pass over the occupied
-    tiles, probing the occupied set and reader map directly.  The
-    ``"reference"`` engine is the retained original — one full pass per
-    rule — and the oracle the fast engine is proven bit-identical
-    against (same violation/warning strings, same order).
-    """
-    if engine == "sparse":
-        return _check_sparse(layout, max_fanout, require_border_io)
-    if engine != "reference":
-        raise ValueError(f"unknown DRC engine {engine!r}")
-    report = DrcReport()
-    _check_structure(layout, report)
-    _check_entry_sides(layout, report)
-    _check_clocking(layout, report)
-    _check_fanout_capacity(layout, report, max_fanout)
-    _check_crossings(layout, report)
-    _check_io(layout, report, require_border_io)
-    _check_dataflow(layout, report)
-    return report
-
-
-def _check_sparse(
-    layout: GateLayout, max_fanout: int, require_border_io: bool
-) -> DrcReport:
-    """One occupied-tile pass producing the reference engine's exact output.
-
-    Each rule appends to its own list during the shared loop; the lists
-    are concatenated in the reference engine's rule order, so the
-    resulting report is string-for-string identical.
+    One pass over the occupied tiles, probing the occupied set and
+    reader map directly.  Each rule appends to its own list during the
+    pass; the lists are concatenated in a fixed rule order (structure,
+    entry sides, clocking, fanout capacity, crossings, I/O, dataflow),
+    so the report does not depend on how the rules share the loop.
     """
     report = DrcReport()
     tiles = layout._tiles
@@ -123,7 +98,10 @@ def _check_sparse(
                 and fanin_ground != tile_ground
             ):
                 structure.append(f"{tile}: fanin {fanin} is not adjacent")
-        # Rule: distinct entry sides.
+        # Rule: distinct entry sides.  Two fanins arriving from the same
+        # neighbouring position (one on the ground layer, one on the
+        # crossing layer) would put two signals on the same tile edge,
+        # which no FCN gate implementation supports.
         if len(fanins) >= 2:
             sides = [f.ground for f in fanins]
             if len(set(sides)) != len(sides):
@@ -161,6 +139,9 @@ def _check_sparse(
             if gate_type is not GateType.BUF:
                 crossings.append(f"{tile}: crossing layer hosts {gate_type.value}")
             if tile.ground not in tiles:
+                # No gate library can realise this: the crossing plane is
+                # reached through via stacks emitted by the ground tile's
+                # block, so a hovering wire has no physical cells at all.
                 crossings.append(f"{tile}: crossing wire above an empty ground tile")
     report.violations += structure
     report.violations += entry_sides
@@ -168,11 +149,11 @@ def _check_sparse(
     report.violations += fanout_capacity
     report.violations += crossings
     _check_io(layout, report, require_border_io)
-    _check_dataflow_sparse(layout, report)
+    _check_dataflow(layout, report)
     return report
 
 
-def _check_dataflow_sparse(layout: GateLayout, report: DrcReport) -> None:
+def _check_dataflow(layout: GateLayout, report: DrcReport) -> None:
     try:
         layout.topological_tiles()
     except ValueError as exc:
@@ -182,81 +163,6 @@ def _check_dataflow_sparse(layout: GateLayout, report: DrcReport) -> None:
     for tile, gate in layout.tiles():
         if gate.gate_type is not GateType.PO and not readers.get(tile):
             report.warn(f"{tile}: {gate.gate_type.value} output is unread")
-
-
-def _check_structure(layout: GateLayout, report: DrcReport) -> None:
-    for tile, gate in layout.tiles():
-        if len(gate.fanins) != gate.gate_type.arity:
-            report.add(
-                f"{tile}: {gate.gate_type.value} has {len(gate.fanins)} fanins, "
-                f"expected {gate.gate_type.arity}"
-            )
-        if len(set(gate.fanins)) != len(gate.fanins):
-            report.add(f"{tile}: duplicate fanin references")
-        for fanin in gate.fanins:
-            if not layout.is_occupied(fanin):
-                report.add(f"{tile}: fanin {fanin} is an empty tile")
-                continue
-            if not adjacent(layout.topology, fanin.ground, tile.ground) and fanin.ground != tile.ground:
-                report.add(f"{tile}: fanin {fanin} is not adjacent")
-
-
-def _check_entry_sides(layout: GateLayout, report: DrcReport) -> None:
-    """Each fanin must enter through its own side of the tile.
-
-    Two fanins arriving from the same neighbouring position (one on the
-    ground layer, one on the crossing layer) would put two signals on
-    the same tile edge, which no FCN gate implementation supports.
-    """
-    for tile, gate in layout.tiles():
-        if len(gate.fanins) < 2:
-            continue
-        sides = [f.ground for f in gate.fanins]
-        if len(set(sides)) != len(sides):
-            report.add(f"{tile}: multiple fanins enter through the same side")
-
-
-def _check_clocking(layout: GateLayout, report: DrcReport) -> None:
-    for tile, gate in layout.tiles():
-        for fanin in gate.fanins:
-            if not layout.is_occupied(fanin):
-                continue
-            if fanin.ground == tile.ground:
-                # Vertical (inter-layer) hop on the same tile: used when a
-                # crossing wire descends; zones coincide by construction.
-                continue
-            if not layout.is_incoming_clocked(tile, fanin):
-                report.add(
-                    f"{tile} (zone {layout.zone(tile)}): fanin {fanin} "
-                    f"(zone {layout.zone(fanin)}) violates clocking"
-                )
-
-
-def _check_fanout_capacity(layout: GateLayout, report: DrcReport, max_fanout: int) -> None:
-    for tile, gate in layout.tiles():
-        degree = layout.fanout_degree(tile)
-        if gate.is_po:
-            if degree:
-                report.add(f"{tile}: PO is read by {degree} tile(s)")
-        elif gate.is_fanout:
-            if degree > max_fanout:
-                report.add(f"{tile}: fanout degree {degree} exceeds {max_fanout}")
-        elif degree > 1:
-            report.add(f"{tile}: {gate.gate_type.value} drives {degree} readers")
-
-
-def _check_crossings(layout: GateLayout, report: DrcReport) -> None:
-    for tile, gate in layout.tiles():
-        if tile.z == 0:
-            continue
-        if gate.gate_type is not GateType.BUF:
-            report.add(f"{tile}: crossing layer hosts {gate.gate_type.value}")
-        ground = layout.get(tile.ground)
-        if ground is None:
-            # No gate library can realise this: the crossing plane is
-            # reached through via stacks emitted by the ground tile's
-            # block, so a hovering wire has no physical cells at all.
-            report.add(f"{tile}: crossing wire above an empty ground tile")
 
 
 def _check_io(layout: GateLayout, report: DrcReport, require_border: bool) -> None:
@@ -271,14 +177,3 @@ def _check_io(layout: GateLayout, report: DrcReport, require_border: bool) -> No
         on_border = tile.x in (0, width - 1) or tile.y in (0, height - 1)
         if not on_border:
             report.warn(f"{tile}: I/O pad not on the layout border")
-
-
-def _check_dataflow(layout: GateLayout, report: DrcReport) -> None:
-    try:
-        layout.topological_tiles()
-    except ValueError as exc:
-        report.add(str(exc))
-        return
-    for tile, gate in layout.tiles():
-        if not gate.is_po and layout.fanout_degree(tile) == 0:
-            report.warn(f"{tile}: {gate.gate_type.value} output is unread")

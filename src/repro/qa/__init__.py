@@ -4,7 +4,7 @@ The standing correctness gate for the physical-design stack: a seeded
 fuzz driver samples random logic networks and random flow configurations,
 checks a fixed oracle stack on every produced layout (DRC, functional
 equivalence, serialisation round-trips, cell-level invariants, and
-columnar-analytics, HTTP-vs-in-process serving and sparse-vs-dense
+columnar-vs-per-artifact analytics and HTTP-vs-in-process serving
 differential agreement),
 shrinks failing cases, and persists them to a replayable crash corpus.
 

@@ -44,7 +44,6 @@ EXACT_SCHEMES = ("2DDWave", "USE", "RES", "ESR", "ROW")
 #: Differential modes: check the flow's layout through a second layer.
 DIFF_ANALYTICS = "analytics"  # columnar vs. per-artifact metrics/DRC/signature
 DIFF_SERVE = "serve"  # HTTP endpoints vs. in-process serving API
-DIFF_SPARSE = "sparse"  # sparse occupied-tile fast paths vs. dense references
 
 
 class FlowSkipped(Exception):
@@ -243,14 +242,12 @@ def _sample_2ddwave(rng: random.Random, algorithm: str) -> FlowConfig:
 
 
 def _sample_differential(rng: random.Random) -> str | None:
-    """One roll: analytics 25 %, serve 5 %, sparse 10 %, none 60 %."""
+    """One roll: analytics 25 %, serve 5 %, none 70 %."""
     roll = rng.random()
     if roll < 0.25:
         return DIFF_ANALYTICS
     if roll < 0.30:
         return DIFF_SERVE
-    if roll < 0.40:
-        return DIFF_SPARSE
     return None
 
 

@@ -25,7 +25,6 @@ from .oracles import (
     OracleFailure,
     check_analytics_agreement,
     check_serve_agreement,
-    check_sparse_agreement,
     run_oracle_stack,
 )
 
@@ -95,8 +94,8 @@ def replay_case(case: CrashCase) -> OracleFailure | None:
     ``None`` when the underlying bug is fixed.  A flow that can no
     longer produce a layout counts as reproduction only when the failing
     oracle was a flow-level one.  Cases of retired differential oracles
-    (``engine_agreement``, ``exact_area``, ``plo_agreement``) replay the
-    per-layout oracle stack.
+    (``engine_agreement``, ``exact_area``, ``plo_agreement``,
+    ``sparse_agreement``) replay the per-layout oracle stack.
     """
     network = case.network
     flow = case.flow
@@ -105,8 +104,6 @@ def replay_case(case: CrashCase) -> OracleFailure | None:
             return check_analytics_agreement(network, flow)
         if case.oracle == "serve_agreement":
             return check_serve_agreement(network, flow)
-        if case.oracle == "sparse_agreement":
-            return check_sparse_agreement(network, flow)
         layout = flow.run(network)
     except FlowSkipped as exc:
         return OracleFailure(case.oracle, f"flow no longer yields a layout: {exc}")

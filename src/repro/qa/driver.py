@@ -20,7 +20,6 @@ from ..networks.logic_network import LogicNetwork
 from .config import (
     DIFF_ANALYTICS,
     DIFF_SERVE,
-    DIFF_SPARSE,
     FlowConfig,
     FlowSkipped,
     sample_flow,
@@ -31,7 +30,6 @@ from .oracles import (
     OracleFailure,
     check_analytics_agreement,
     check_serve_agreement,
-    check_sparse_agreement,
     run_oracle_stack,
 )
 from .shrink import shrink_network
@@ -134,10 +132,6 @@ def fuzz_one(
             failure = check_serve_agreement(network, flow)
             if failure is not None:
                 return flow, spec, network, failure, None
-        if flow.differential == DIFF_SPARSE:
-            failure = check_sparse_agreement(network, flow)
-            if failure is not None:
-                return flow, spec, network, failure, None
 
         layout = flow.run(network)
     except FlowSkipped as exc:
@@ -160,8 +154,6 @@ def _still_fails(flow: FlowConfig, oracle: str, num_vectors: int):
                 return check_analytics_agreement(network, flow) is not None
             if oracle == "serve_agreement":
                 return check_serve_agreement(network, flow) is not None
-            if oracle == "sparse_agreement":
-                return check_sparse_agreement(network, flow) is not None
             layout = flow.run(network)
         except FlowSkipped:
             return False

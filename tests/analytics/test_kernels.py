@@ -13,10 +13,10 @@ from repro.optimization.hexagonalization import to_hexagonal
 from repro.physical_design.ortho import orthogonal_layout
 
 
-def assert_parity(layout, backend=None):
+def assert_parity(layout):
     """One layout: columnar analysis == reference computation."""
     batch = LayoutBatch.from_texts([layout_to_fgl(layout)])
-    analysis = analyze_layout(batch, 0, backend=backend, with_signature=True)
+    analysis = analyze_layout(batch, 0, with_signature=True)
 
     try:
         expected_metrics = compute_metrics(layout)
@@ -48,9 +48,6 @@ class TestCleanLayouts:
     def test_hexagonal_parity(self, factory):
         cartesian = orthogonal_layout(factory(), None).layout
         assert_parity(to_hexagonal(cartesian).layout)
-
-    def test_stdlib_backend_parity(self):
-        assert_parity(orthogonal_layout(mux21()).layout, backend="stdlib")
 
 
 class TestViolatingLayouts:
