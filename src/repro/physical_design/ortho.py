@@ -75,7 +75,6 @@ class OrthoResult:
 
     layout: GateLayout
     runtime_seconds: float
-    num_wire_segments: int
     mode: str = "sparse"
 
 
@@ -287,7 +286,7 @@ def _run_sparse(ntk: LogicNetwork, params: OrthoParams, started: float) -> Ortho
         layout.create_po(target, ref, name or f"po{index}")
 
     layout.shrink_to_fit()
-    return OrthoResult(layout, time.monotonic() - started, layout.num_wires(), "sparse")
+    return OrthoResult(layout, time.monotonic() - started, "sparse")
 
 
 def _pick_pair_kinds(placer: _SparsePlacer, sources: list[Tile]) -> list[str]:
@@ -417,7 +416,7 @@ def _run_compact(ntk: LogicNetwork, params: OrthoParams, started: float) -> Orth
         next_row = max(next_row, chosen.y + 1)
 
     layout.shrink_to_fit()
-    return OrthoResult(layout, time.monotonic() - started, layout.num_wires(), "compact")
+    return OrthoResult(layout, time.monotonic() - started, "compact")
 
 
 def _placement_order(ntk: LogicNetwork) -> list[int]:
