@@ -39,7 +39,7 @@ from ..physical_design.nanoplacer import (
     NanoPlaceRScaleError,
     nanoplacer_layout,
 )
-from ..physical_design.ortho import OrthoError, OrthoParams, orthogonal_layout
+from ..physical_design.ortho import OrthoError, OrthoParams
 
 #: Gate library identifiers, matching :mod:`repro.gatelibs`.
 QCA_ONE = "QCA ONE"
@@ -164,10 +164,6 @@ def best_layout(
 
     # -- ortho plain and ortho + InOrd + PLO -------------------------------------
     try:
-        plain = orthogonal_layout(network, OrthoParams(keep_two_input=keep_two_input))
-        raw_candidates.append(
-            (plain.layout, "ortho", TWODDWAVE.name, (), plain.runtime_seconds)
-        )
         inord = input_ordering(
             network,
             InputOrderingParams(
@@ -177,8 +173,15 @@ def best_layout(
                 objective="hex_area" if hexagonal else "area",
             ),
         )
+        # The plain ortho layout is InOrd's identity evaluation; PLO gets
+        # a copy so it cannot rewrite the plain candidate when the
+        # identity order wins.
+        plain = inord.identity
+        raw_candidates.append(
+            (plain.layout, "ortho", TWODDWAVE.name, (), plain.runtime_seconds)
+        )
         plo = post_layout_optimization(
-            inord.layout,
+            inord.layout.clone(),
             PostLayoutParams(max_passes=params.plo_passes, timeout=params.plo_timeout),
         )
         raw_candidates.append(

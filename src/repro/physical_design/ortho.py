@@ -87,6 +87,19 @@ def orthogonal_layout(network: LogicNetwork, params: OrthoParams | None = None) 
     params = params or OrthoParams()
     started = time.monotonic()
     ntk = prepare_for_layout(decompose_to_aoig(network, params.keep_two_input))
+    return place_prepared(ntk, params, started)
+
+
+def place_prepared(ntk: LogicNetwork, params: OrthoParams, started: float) -> OrthoResult:
+    """Place an already prepared network (AOIG-decomposed and
+    fanout-substituted, as :func:`orthogonal_layout` prepares it).
+
+    ``params.keep_two_input`` is not consulted: the preparation already
+    decided the gate set.  ``started`` is the :func:`time.monotonic`
+    stamp the result's ``runtime_seconds`` counts from, so a caller can
+    include its preparation.  The network is only read, so one prepared
+    network serves any number of placements.
+    """
     if params.compact:
         elements = (
             sum(1 for u in ntk.topological_order() if not ntk.is_constant(u))

@@ -131,8 +131,9 @@ class TestGenerationReport:
         assert report.executed_flows == len(report.flow_seconds)
         assert all(t >= 0.0 for t in report.flow_seconds.values())
         assert report.wall_seconds > 0.0
-        # mux21 and xor2 each run ortho, ortho_opt, npr + 3 hex variants
-        assert report.executed_flows == 12
+        # mux21 and xor2 each run ortho_opt (which also emits the plain
+        # ortho layout), npr + 2 hex variants
+        assert report.executed_flows == 8
         # npr flows are disabled by the scale gate -> no layouts from them
         assert report.no_layout == 4
         summary = report.summary()

@@ -19,7 +19,8 @@ from repro.scheduler import SchedulerParams
 
 from tests.scheduler.conftest import DETERMINISTIC_PARAMS
 
-#: ortho and ortho_opt admit one layout each, npr none (scale gate).
+#: ortho_opt admits two layouts (plain ortho and ortho + InOrd + PLO),
+#: npr none (scale gate).
 SPECS = [get_benchmark("trindade16", name) for name in ("mux21", "xor2", "xnor2")]
 LIBRARIES = ("QCA ONE",)
 PARAMS = GenerationParams(**DETERMINISTIC_PARAMS)
@@ -92,8 +93,9 @@ def _assert_flushed_tasks_survive(tmp_path, monkeypatch, nth, flush_every):
 
 def test_flush_every_merge_survives_failure(tmp_path, monkeypatch):
     """With ``flush_every=1`` every completed task is durable before
-    the next one merges."""
-    _assert_flushed_tasks_survive(tmp_path, monkeypatch, nth=2, flush_every=1)
+    the next one merges.  The first task writes two layouts, so the
+    third write is the first to fail past a flush boundary."""
+    _assert_flushed_tasks_survive(tmp_path, monkeypatch, nth=3, flush_every=1)
 
 
 def test_failure_loses_only_the_partial_flush_batch(tmp_path, monkeypatch):

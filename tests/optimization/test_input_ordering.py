@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.benchsuite import get_benchmark
+from repro.io import layout_to_fgl
 from repro.networks.library import full_adder, mux21, one_bit_mux_tree
 from repro.optimization import InputOrderingParams, input_ordering, structural_order
+from repro.physical_design import OrthoParams, orthogonal_layout
 from tests.conftest import assert_layout_good
 
 
@@ -55,3 +58,33 @@ class TestSearch:
         net = one_bit_mux_tree(2, "mux41")
         result = input_ordering(net, InputOrderingParams(max_evaluations=10, timeout=30))
         assert result.area_best < result.area_identity
+
+
+class TestIdentityPlacement:
+    """The identity order's placement is the plain ortho layout."""
+
+    @pytest.mark.parametrize("keep_two_input", [False, True])
+    @pytest.mark.parametrize("objective", ["area", "hex_area"])
+    @pytest.mark.parametrize("suite, name", [("trindade16", "full_adder"), ("iscas85", "c432")])
+    def test_identity_equals_orthogonal_layout(self, suite, name, objective, keep_two_input):
+        # full_adder places in compact mode, c432 in sparse HV mode.
+        net = get_benchmark(suite, name).build()
+        result = input_ordering(
+            net,
+            InputOrderingParams(
+                max_evaluations=2,
+                timeout=60,
+                ortho=OrthoParams(keep_two_input=keep_two_input),
+                objective=objective,
+            ),
+        )
+        plain = orthogonal_layout(net, OrthoParams(keep_two_input=keep_two_input))
+        assert result.identity.mode == plain.mode
+        assert layout_to_fgl(result.identity.layout) == layout_to_fgl(plain.layout)
+
+    def test_identity_winner_is_the_identity_layout(self):
+        # c17's identity order is never beaten within three evaluations.
+        net = get_benchmark("iscas85", "c17").build()
+        result = input_ordering(net, InputOrderingParams(max_evaluations=3, timeout=30))
+        assert result.pi_order == list(range(net.num_pis()))
+        assert result.layout is result.identity.layout

@@ -39,10 +39,10 @@ DETERMINISTIC_PARAMS: dict = {
     "reproducible": True,
 }
 
-#: trindade16 has 7 benchmarks x 6 non-exact flows under
-#: DETERMINISTIC_PARAMS (ortho, ortho_opt, npr / exact_hex-less
-#: Bestagon portfolio).
-FULL_SUITE_FLOWS = 42
+#: trindade16 has 7 benchmarks x 4 non-exact flows under
+#: DETERMINISTIC_PARAMS (ortho_opt, which also emits the plain ortho
+#: layout, and npr, for each of the two libraries).
+FULL_SUITE_FLOWS = 28
 
 #: Files excluded from fingerprints: scheduler bookkeeping that is
 #: *expected* to differ between a resumed and an uninterrupted run.

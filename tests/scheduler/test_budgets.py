@@ -56,7 +56,7 @@ def test_wall_budget_kill_is_recorded_not_fatal(tmp_path, stall_npr):
     assert report.timeouts == 2
     assert report.admitted == 8
     assert report.no_layout == 2  # hex:npr produces no layout here
-    assert report.executed_flows == 12
+    assert report.executed_flows == 8
     assert "2 timed out" in report.summary()
     assert report.scheduler["timeouts"] == 2
     assert report.scheduler["workers_killed"] >= 2
@@ -75,7 +75,7 @@ def test_wall_budget_kill_is_recorded_not_fatal(tmp_path, stall_npr):
     journal = GenerationJournal.load(tmp_path / "db" / JOURNAL_NAME)
     statuses = [record.status for record in journal.records.values()]
     assert statuses.count("timeout") == 2
-    assert statuses.count("done") == 10
+    assert statuses.count("done") == 6
 
 
 def test_budget_change_invalidates_timeout_cache_entries(tmp_path, monkeypatch):
@@ -103,7 +103,7 @@ def test_budget_change_invalidates_timeout_cache_entries(tmp_path, monkeypatch):
     # cache — nothing re-executes, nothing is re-killed.
     db2 = BenchmarkDatabase(tmp_path / "db")
     replay = db2.generate(_specs(), params=strict).report
-    assert replay.skipped_cached == 12
+    assert replay.skipped_cached == 8
     assert replay.executed_flows == 0
     assert replay.timeouts == 0
 
@@ -113,7 +113,7 @@ def test_budget_change_invalidates_timeout_cache_entries(tmp_path, monkeypatch):
     relaxed = GenerationParams(**DETERMINISTIC_PARAMS, jobs=1)
     report = db3.generate(_specs(), params=relaxed).report
     assert report.skipped_cached == 0
-    assert report.executed_flows == 12
+    assert report.executed_flows == 8
     assert report.timeouts == 0
     assert report.admitted == 8
 
@@ -205,7 +205,7 @@ def test_worker_recycling_after_task_quota(tmp_path):
     assert report.scheduler["mode"] == "pool"
     assert report.scheduler["workers_recycled"] >= 2
     assert report.admitted == 8
-    assert report.executed_flows == 12
+    assert report.executed_flows == 8
 
 
 def test_task_budget_dataclass():

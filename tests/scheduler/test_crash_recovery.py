@@ -113,7 +113,7 @@ def test_resume_with_truncated_journal(tmp_path):
     journal_path = victim / JOURNAL_NAME
     raw = journal_path.read_bytes()
     lines = raw.splitlines(keepends=True)
-    assert len(lines) == 12
+    assert len(lines) == 8
     # Keep 5 intact lines plus half of the 6th; drop the index so the
     # journal is the *only* record of completed work.
     torn = b"".join(lines[:5]) + lines[5][: len(lines[5]) // 2]
@@ -127,7 +127,7 @@ def test_resume_with_truncated_journal(tmp_path):
         scheduler={"resume": True},
     )
     assert resumed["resumed"] == 5
-    assert resumed["executed"] == 12 - 5
+    assert resumed["executed"] == 8 - 5
     assert resumed["scheduler"]["journal_dropped_lines"] == 1
     assert_databases_identical(reference, victim)
 
@@ -151,7 +151,7 @@ def test_resume_with_corrupt_middle_line(tmp_path):
     resumed = run_generate(
         victim, benchmarks=specs, scheduler={"resume": True}
     )
-    assert resumed["resumed"] == 11
+    assert resumed["resumed"] == 7
     assert resumed["executed"] == 1
     assert_databases_identical(reference, victim)
 
@@ -247,7 +247,7 @@ def test_worker_sigkill_is_retried_in_process(tmp_path, monkeypatch):
     assert report.scheduler["worker_deaths"] >= 1
     # The retry succeeded: nothing surfaced as a worker error.
     assert report.worker_errors == 0
-    assert report.executed_flows == 12
+    assert report.executed_flows == 8
 
     reference = tmp_path / "reference"
     run_generate(
@@ -264,7 +264,7 @@ def test_resume_on_clean_database_executes_everything(tmp_path):
         benchmarks=(("trindade16", "mux21"),),
         scheduler={"resume": True},
     )
-    assert report["executed"] == 6
+    assert report["executed"] == 4
     assert report["resumed"] == 0
 
 

@@ -95,4 +95,5 @@ def test_early_cancel_off_by_default(tmp_path):
         params=params,
     ).report
     assert report.cancelled == 0
-    assert report.executed_flows == 3 + len(CARTESIAN_SCHEMES)
+    # ortho_opt (which also emits the plain ortho layout), npr, exact
+    assert report.executed_flows == 2 + len(CARTESIAN_SCHEMES)

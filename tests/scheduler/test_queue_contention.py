@@ -83,7 +83,7 @@ def test_two_processes_shard_one_sweep(tmp_path):
         node for key in task_keys for node in audit.execution_nodes(key)
     }
     assert executed_by == {"node-a", "node-b"}
-    # Both processes merged all 42 flows into their own database.
+    # Both processes merged all 28 flows into their own database.
     assert report_a["executed"] == report_b["executed"] == FULL_SUITE_FLOWS
 
     assert_databases_identical(db_a, db_b)
