@@ -110,7 +110,7 @@ class SchedulerStats:
     workers_killed: int = 0
     worker_deaths: int = 0
     journal_dropped_lines: int = 0
-    #: Aggregate wall seconds per flow name ("ortho", "exact:USE", ...).
+    #: Aggregate wall seconds per flow name ("ortho_opt", "exact:USE", ...).
     flow_seconds: dict[str, float] = field(default_factory=dict)
     #: Merged exact-search counters across every exact task this node
     #: merged (``ExactSearchStats.to_json``); ``None`` when no exact

@@ -4,7 +4,7 @@ The journal is a JSONL file living next to ``index.json`` in the
 database root.  Each line is one committed task::
 
     {"v": 1, "key": "<params-digest>", "suite": "trindade16",
-     "name": "mux21", "flow": "ortho", "status": "done",
+     "name": "mux21", "flow": "ortho_opt", "status": "done",
      "entry": {...flow-cache entry...}, "seconds": 0.012,
      "node": "host-1234"}
 
