@@ -9,8 +9,8 @@ Both paths run on the **bit-parallel (word-level) engine**: every
 stimulus vector occupies one bit position of an arbitrary-precision
 integer word per signal, so :meth:`LogicNetwork.simulate_words`
 evaluates each gate once per word with bitwise operations instead of
-once per vector.  The legacy per-vector walk is kept behind
-``engine="scalar"`` for differential testing and benchmarking.
+once per vector.  The per-vector walk it replaced survives only as a
+test-only oracle in ``tests/networks/test_simulation_words.py``.
 """
 
 from __future__ import annotations
@@ -130,7 +130,6 @@ def check_equivalence(
     b: LogicNetwork,
     num_vectors: int = 256,
     seed: int = 0,
-    engine: str = "words",
 ) -> EquivalenceResult:
     """Check whether two networks compute the same functions.
 
@@ -138,20 +137,12 @@ def check_equivalence(
     inputs the check is a proof; beyond that it samples ``num_vectors``
     deterministic random vectors plus the two corner vectors
     (all-zeros/all-ones), which ride along for free and are not charged
-    against ``num_vectors``.
-
-    ``engine`` selects the implementation: ``"words"`` (default) packs
-    all stimulus into integer words and evaluates each gate once;
-    ``"scalar"`` is the legacy per-vector walk kept for differential
-    testing.
+    against ``num_vectors``.  All stimulus is packed into integer words
+    and each gate is evaluated once.
     """
     problem = _interface_compatible(a, b)
     if problem is not None:
         return EquivalenceResult(False, None, reason=problem)
-    if engine == "scalar":
-        return _check_equivalence_scalar(a, b, num_vectors, seed)
-    if engine != "words":
-        raise ValueError(f"unknown simulation engine {engine!r}")
     n = a.num_pis()
     if n <= EXHAUSTIVE_LIMIT:
         words, count = exhaustive_words(n)
@@ -169,26 +160,6 @@ def check_equivalence(
         return EquivalenceResult(
             False, unpack_vector(words, position), exhaustive, budgeted
         )
-    return EquivalenceResult(True, None, exhaustive, budgeted)
-
-
-def _check_equivalence_scalar(
-    a: LogicNetwork, b: LogicNetwork, num_vectors: int, seed: int
-) -> EquivalenceResult:
-    """Reference per-vector implementation (one evaluate call per vector)."""
-    n = a.num_pis()
-    if n <= EXHAUSTIVE_LIMIT:
-        vectors = list(all_vectors(n))
-        budgeted = len(vectors)
-        exhaustive = True
-    else:
-        vectors = [tuple([False] * n), tuple([True] * n)]
-        vectors += list(random_vectors(n, num_vectors, seed))
-        budgeted = len(vectors) - 2
-        exhaustive = False
-    for vector in vectors:
-        if a.evaluate(vector) != b.evaluate(vector):
-            return EquivalenceResult(False, vector, exhaustive, budgeted)
     return EquivalenceResult(True, None, exhaustive, budgeted)
 
 

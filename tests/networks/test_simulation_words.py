@@ -22,6 +22,11 @@ from repro.networks import (
     unpack_vector,
 )
 from repro.networks.library import full_adder, full_adder_maj, mux21
+from repro.networks.simulation import (
+    EXHAUSTIVE_LIMIT,
+    EquivalenceResult,
+    all_vectors,
+)
 from repro.optimization.hexagonalization import to_hexagonal
 from repro.physical_design import orthogonal_layout
 
@@ -142,14 +147,50 @@ class TestLayoutExtractionTopologies:
         assert check_equivalence(collapsed, structural).equivalent
 
 
+def scalar_equivalence(a, b, num_vectors=256, seed=0):
+    """Test-only oracle: the per-vector walk ``check_equivalence`` ran
+    before the word-level engine, one ``evaluate`` call per vector over
+    the same stimulus (all vectors up to EXHAUSTIVE_LIMIT inputs, else
+    the two corner vectors then ``random_vectors``)."""
+    n = a.num_pis()
+    if n <= EXHAUSTIVE_LIMIT:
+        vectors = list(all_vectors(n))
+        budgeted, exhaustive = len(vectors), True
+    else:
+        vectors = [tuple([False] * n), tuple([True] * n)]
+        vectors += list(random_vectors(n, num_vectors, seed))
+        budgeted, exhaustive = len(vectors) - 2, False
+    for vector in vectors:
+        if a.evaluate(vector) != b.evaluate(vector):
+            return EquivalenceResult(False, vector, exhaustive, budgeted)
+    return EquivalenceResult(True, None, exhaustive, budgeted)
+
+
+#: The oracle's verdict on each seed's pair of distinct networks, taken
+#: from the retired ``engine="scalar"`` path: the corner vector that
+#: first tells them apart.
+SCALAR_COUNTEREXAMPLES = {0: False, 1: False, 2: True, 3: False}
+
+
 class TestEngineAgreement:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scalar_oracle_verdicts_pinned(self, seed):
+        spec_a = GeneratorSpec("eng", 16, 3, 80, seed=seed)
+        spec_b = GeneratorSpec("eng", 16, 3, 80, seed=seed + 100)
+        a, b = generate_network(spec_a), generate_network(spec_b)
+        same = scalar_equivalence(a, a.clone(), num_vectors=48)
+        assert same == EquivalenceResult(True, None, False, 48)
+        differ = scalar_equivalence(a, b, num_vectors=48)
+        corner = tuple([SCALAR_COUNTEREXAMPLES[seed]] * 16)
+        assert differ == EquivalenceResult(False, corner, False, 48)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_scalar_and_word_engines_agree(self, seed):
         spec_a = GeneratorSpec("eng", 16, 3, 80, seed=seed)
         spec_b = GeneratorSpec("eng", 16, 3, 80, seed=seed + 100)
         a, b = generate_network(spec_a), generate_network(spec_b)
         for x, y in ((a, a.clone()), (a, b)):
-            scalar = check_equivalence(x, y, num_vectors=48, engine="scalar")
+            scalar = scalar_equivalence(x, y, num_vectors=48)
             words = check_equivalence(x, y, num_vectors=48)
             assert scalar.equivalent == words.equivalent
             assert scalar.counterexample == words.counterexample
@@ -157,15 +198,12 @@ class TestEngineAgreement:
 
     def test_exhaustive_engines_agree(self):
         a, b = full_adder(), full_adder_maj()
-        scalar = check_equivalence(a, b, engine="scalar")
+        scalar = scalar_equivalence(a, b)
         words = check_equivalence(a, b)
+        assert scalar == EquivalenceResult(True, None, True, 8)
         assert scalar.equivalent and words.equivalent
         assert scalar.checked_exhaustively and words.checked_exhaustively
         assert scalar.num_vectors == words.num_vectors == 8
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            check_equivalence(mux21(), mux21(), engine="quantum")
 
     def test_corner_vectors_not_charged_to_budget(self):
         spec = GeneratorSpec("big", 20, 3, 60, seed=4)
