@@ -43,14 +43,14 @@ import io
 import re
 import xml.etree.ElementTree as ET
 from array import array
-from itertools import accumulate, chain, count, repeat
+from itertools import accumulate, chain, count, islice, repeat
 from operator import lt, sub
 from pathlib import Path
 from typing import NamedTuple
 
 from ..layout.clocking import ClockingScheme, get_scheme
 from ..layout.coordinates import Tile, Topology
-from ..layout.gate_layout import GateLayout
+from ..layout.gate_layout import GateLayout, LayoutGate
 from ..networks.logic_network import GateType
 
 #: Format version written to the header.
@@ -702,12 +702,28 @@ def _create(layout: GateLayout, record: tuple) -> None:
 
 def columns_to_layout(columns: CanonicalFgl) -> GateLayout:
     """Build the :class:`GateLayout` of scanned gate columns, raising the
-    :class:`FglError` :func:`fgl_to_layout` raises for their text."""
+    :class:`FglError` :func:`fgl_to_layout` raises for their text.
+
+    Rows that read only earlier rows are adopted in bulk: the scanner
+    has made every other check of ``create_*`` (see
+    :func:`scan_canonical`), so they cannot fail and :func:`_place_records`
+    would place them in row order.  Any other columns take
+    :func:`_place_records` and its :class:`FglError`.
+    """
     layout = _new_layout(
         columns.name, columns.topology, columns.width, columns.height,
         columns.scheme, columns.zones,
     )
-    return _place_records(layout, columns.records())
+    if not _reads_earlier_rows(columns):
+        return _place_records(layout, columns.records())
+    starts = columns.fanin_start
+    signals = _tiles(columns.fx, columns.fy, columns.fz)
+    fanins = map(tuple, map(islice, repeat(signals), map(sub, starts[1:], starts)))
+    gates = map(
+        tuple.__new__, repeat(LayoutGate), zip(columns.types, fanins, columns.names)
+    )
+    layout._adopt(list(_tiles(columns.xs, columns.ys, columns.zs)), list(gates))
+    return layout
 
 
 def layout_to_columns(layout: GateLayout) -> CanonicalFgl:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from ..layout.clocking import TWODDWAVE
 from ..layout.coordinates import Tile, Topology
-from ..layout.gate_layout import GateLayout
+from ..layout.gate_layout import GateLayout, LayoutGate
 from ..networks.logic_network import GateType
 
 
@@ -141,16 +141,6 @@ def _delete_lines(
         if x in col_set:
             removed += 1
 
-    bypass: dict[Tile, Tile] = {}
-    for tile, gate in layout._tiles.items():
-        if tile.y in row_set or tile.x in col_set:
-            bypass[tile] = gate.fanins[0]
-
-    def remap(tile: Tile) -> Tile:
-        while tile in bypass:
-            tile = bypass[tile]
-        return Tile(new_x[tile.x], new_y[tile.y], tile.z)
-
     out = GateLayout(
         max(1, layout.width - len(columns)),
         max(1, layout.height - len(rows)),
@@ -158,19 +148,29 @@ def _delete_lines(
         layout.topology,
         layout.name,
     )
+    # Walk the source in topological order, so a tile's fanins have been
+    # moved before it.  A surviving tile moves to its shifted position; a
+    # deleted wire is bypassed, standing for wherever its fanin moved, so
+    # bypass chains resolve transitively.  The surviving rows read only
+    # earlier rows, and a contraction keeps them distinct and in bounds
+    # with their type, arity and layer: rows the layout adopts in bulk.
+    tiles = layout._tiles
+    new = tuple.__new__
+    moved: dict[Tile, Tile] = {}
+    targets: list[Tile] = []
+    gates: list[LayoutGate] = []
     for tile in layout.topological_tiles():
-        if tile.y in row_set or tile.x in col_set:
+        x, y, z = tile
+        gate_type, fanins, name = tiles[tile]
+        if y in row_set or x in col_set:
+            moved[tile] = moved[fanins[0]]
             continue
-        gate = layout.get(tile)
-        assert gate is not None
-        fanins = [remap(f) for f in gate.fanins]
-        target = Tile(new_x[tile.x], new_y[tile.y], tile.z)
-        if gate.is_pi:
-            out.create_pi(target, gate.name)
-        elif gate.is_po:
-            out.create_po(target, fanins[0], gate.name)
-        else:
-            out.create_gate(gate.gate_type, target, fanins, gate.name)
-    out._pis = [remap(t) for t in layout.pis()]
-    out._pos = [remap(t) for t in layout.pos()]
+        target = moved[tile] = new(Tile, (new_x[x], new_y[y], z))
+        targets.append(target)
+        gates.append(
+            new(LayoutGate, (gate_type, tuple(map(moved.__getitem__, fanins)), name))
+        )
+    out._adopt(targets, gates)
+    out._pis = list(map(moved.__getitem__, layout._pis))
+    out._pos = list(map(moved.__getitem__, layout._pos))
     return out

@@ -9,7 +9,8 @@ Each oracle inspects one invariant the benchmark database relies on:
 * ``fgl_roundtrip`` — ``.fgl`` serialisation is lossless *and* stable
   (write → read reproduces the layout structurally, write → read →
   write reproduces the byte stream, and the canonical scanner and the
-  XML tier of the reader read the same layout);
+  XML tier of the reader read the same layout, down to the indices it
+  derives: tile and reader order, grid occupancy and counters);
 * ``cell_level`` — the gate library applies cleanly, the resulting cell
   layout passes cell-level DRC, and its ``.qca``/``.sqd`` serialisation
   round-trips;
@@ -107,6 +108,31 @@ def check_fgl_roundtrip(network: LogicNetwork, layout: GateLayout) -> str | None
             "canonical and XML tiers read different layouts: "
             f"{diff or 'bytes differ'}"
         )
+    diff = derived_index_diff(restored, through_xml)
+    if diff is not None:
+        return f"canonical and XML tiers derive different indices: {diff}"
+    return None
+
+
+def derived_index_diff(a: GateLayout, b: GateLayout) -> str | None:
+    """First difference in what two layouts derive from their tiles, or
+    ``None``: the tile insertion order, the reader lists (keys and list
+    order), the occupancy grid and the two occupancy counters.
+
+    :meth:`GateLayout.structural_diff` compares content only; the
+    canonical reader adopts rows in bulk and the XML tier places them
+    one by one, and both must leave the same indices behind.
+    """
+    if list(a._tiles) != list(b._tiles):
+        return "tile insertion order differs"
+    if list(a._readers.items()) != list(b._readers.items()):
+        return "reader lists differ"
+    if a._grid != b._grid:
+        return "occupancy grid differs"
+    counters = (a._ground_occupied, a._border_occupied)
+    theirs = (b._ground_occupied, b._border_occupied)
+    if counters != theirs:
+        return f"occupancy counters differ: {counters} vs {theirs}"
     return None
 
 
