@@ -28,6 +28,9 @@ class QCACellType(enum.Enum):
     #: 45°-rotated cells implement the coplanar wire crossing.
     ROTATED = "rotated"
 
+    # Identity hash of the singleton members, at C level (see GateType).
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class QCACell:

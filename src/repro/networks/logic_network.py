@@ -40,6 +40,10 @@ class GateType(enum.Enum):
     MUX = "mux"
     FANOUT = "fanout"
 
+    # Members are singletons compared by identity, so the C-level identity
+    # hash is sound; ``Enum.__hash__`` hashes the name in a Python frame.
+    __hash__ = object.__hash__
+
     @property
     def arity(self) -> int:
         """Number of fanins a node of this type carries."""
