@@ -90,6 +90,20 @@ def test_gzip_round_trip(http_get):
     assert gzip.decompress(body) == plain
 
 
+def test_gzip_cell_level_round_trip(http_get, server):
+    """A negotiated gzip ``.qca`` download decodes to the identity body."""
+    record = next(
+        r for r in server.manager.current().records if r.gate_library == "QCA ONE"
+    )
+    path = f"/v1/artifact/{record.path}?format=qca"
+    _, plain_headers, plain = http_get(path)
+    status, headers, body = http_get(path, headers={"Accept-Encoding": "gzip"})
+    assert status == 200
+    assert "Content-Encoding" not in plain_headers
+    assert headers["Content-Encoding"] == "gzip"
+    assert gzip.decompress(body) == plain
+
+
 def test_gzip_cache_hit_on_repeat(http_get, server):
     for _ in range(2):
         http_get("/v1/query", headers={"Accept-Encoding": "gzip"})
