@@ -39,7 +39,11 @@ def verify_layout(
     max_fanout: int = 2,
     num_vectors: int = 256,
 ) -> tuple[DrcReport, EquivalenceResult]:
-    """Full sign-off: design rules plus functional equivalence."""
+    """Full sign-off: design rules plus functional equivalence.
+
+    The DRC dataflow rule and the extraction share one topological
+    order, memoized on the layout until it next changes.
+    """
     drc = check_layout(layout, max_fanout=max_fanout)
     if not drc.ok:
         # A structurally broken layout cannot be extracted reliably;
