@@ -2,9 +2,11 @@
 
 Table I's ΔA column measures the area reduction of the *optimal tool
 combination* over the previous state of the art.  This ablation
-recreates that comparison locally: for each small function, the area of
-every individual flow (plain ortho, ortho+InOrd+PLO, NanoPlaceR, exact
-per scheme) is printed next to the portfolio winner.
+recreates that comparison locally: the small functions go into one
+scratch database (``generate`` + ``optimize``), and for each function the
+area of every individual flow (plain ortho, ortho+InOrd+PLO, NanoPlaceR,
+exact per scheme, each 2DDWave one also with PLO) is printed next to the
+portfolio winner.
 
 Expected shape: the portfolio column equals the minimum of its inputs
 (it is a verified argmin); no single flow achieves that minimum across
@@ -15,6 +17,7 @@ per-function optimal combinations.
 from __future__ import annotations
 
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -22,8 +25,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 import pytest
 
 from conftest import write_result
+from repro.analytics.report import algorithm_label
 from repro.benchsuite import get_benchmark
-from repro.core import QCA_ONE, BestParams, best_layout
+from repro.core import QCA_ONE, BenchmarkDatabase, GenerationParams
 
 FUNCTIONS = [
     ("trindade16", "mux21"),
@@ -33,11 +37,9 @@ FUNCTIONS = [
     ("fontes18", "1bitaddermaj"),
 ]
 
-PARAMS = BestParams(
+PARAMS = GenerationParams(
     exact_timeout=8.0,
     exact_ratio_timeout=1.0,
-    nanoplacer_timeout=4.0,
-    inord_evaluations=6,
     inord_timeout=20.0,
     plo_timeout=15.0,
 )
@@ -46,20 +48,29 @@ PARAMS = BestParams(
 def run_ablation() -> str:
     lines = ["Portfolio vs. individual flows (areas in tiles)", "=" * 80]
     winners = {}
-    for suite, name in FUNCTIONS:
-        net = get_benchmark(suite, name).build()
-        result = best_layout(net, QCA_ONE, PARAMS)
-        assert result.succeeded
-        lines.append(f"\n{suite}/{name}: winner = {result.winner.algorithm_label} "
-                     f"/ {result.winner.scheme} (A = {result.winner.metrics.area})")
-        for candidate in result.candidates:
-            marker = " <== winner" if candidate is result.winner else ""
-            lines.append(
-                f"    {candidate.algorithm_label:32s} {candidate.scheme:8s} "
-                f"A={candidate.metrics.area:5d}{marker}"
-            )
-        winners[name] = result.winner.algorithm_label
-        print(lines[-1], flush=True)
+    with tempfile.TemporaryDirectory(prefix="ablation-") as root:
+        db = BenchmarkDatabase(root)
+        db.generate(
+            [get_benchmark(suite, name) for suite, name in FUNCTIONS],
+            libraries=(QCA_ONE,),
+            params=PARAMS,
+        )
+        db.optimize(params=PARAMS)
+        best = {record.name: record for record, _ in db.best()}
+        for suite, name in FUNCTIONS:
+            winner = best[name]
+            lines.append(f"\n{suite}/{name}: winner = {algorithm_label(winner)} "
+                         f"/ {winner.clocking_scheme} (A = {winner.area})")
+            for record in db.files():
+                if record.name != name or record.area is None:
+                    continue
+                marker = " <== winner" if record is winner else ""
+                lines.append(
+                    f"    {algorithm_label(record):32s} {record.clocking_scheme:8s} "
+                    f"A={record.area:5d}{marker}"
+                )
+            winners[name] = algorithm_label(winner)
+            print(lines[-1], flush=True)
     lines.append("\nwinning flows: " + ", ".join(f"{k}→{v}" for k, v in winners.items()))
     return "\n".join(lines)
 

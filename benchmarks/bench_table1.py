@@ -1,11 +1,12 @@
 """Table I reproduction — QCA ONE gate library side.
 
-For every benchmark function, the best-layout portfolio (exact across
-Cartesian clocking schemes on small functions, NanoPlaceR on
-small/medium ones, ortho + InOrd (SDN) + PLO as the scalable backbone)
-is executed and the paper-style row is printed next to the paper's own
-Table I values: ``name, I/O, N, w × h = A, t, Algorithm, Clk. Scheme,
-ΔA``.
+The selected benchmark functions go into one scratch database:
+``generate`` runs the tool portfolio (exact across Cartesian clocking
+schemes on small functions, NanoPlaceR on small/medium ones, ortho +
+InOrd (SDN) + PLO as the scalable backbone), ``optimize`` adds PLO to
+every other 2DDWave layout, and the area-best artifact per function is
+printed as a paper-style row next to the paper's own Table I values:
+``name, I/O, N, w × h = A, t, Algorithm, Clk. Scheme, ΔA``.
 
 Expected shape (DESIGN.md §3): exact wins every small function with a
 large ΔA against the plain-ortho baseline; only ortho-based flows
@@ -16,6 +17,7 @@ seconds while exact runs into its timeout beyond ~30 nodes.
 from __future__ import annotations
 
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -25,7 +27,13 @@ import pytest
 
 from conftest import FULL_RUN, node_cap, write_result
 from repro.benchsuite import all_benchmarks, benchmarks_of
-from repro.core import QCA_ONE, BestParams, format_table, table_row
+from repro.core import (
+    QCA_ONE,
+    BenchmarkDatabase,
+    GenerationParams,
+    database_table_rows,
+    format_table,
+)
 
 #: Representative subsets for the default (trimmed) run; every suite is
 #: exercised, and MNT_BENCH_FULL=1 runs all 40 functions per library.
@@ -46,28 +54,36 @@ def selected_specs():
     return specs
 
 
-def portfolio_params() -> BestParams:
-    return BestParams(
-        exact_timeout=10.0 if FULL_RUN else 6.0,
-        exact_ratio_timeout=1.2 if FULL_RUN else 0.8,
-        nanoplacer_timeout=4.0 if FULL_RUN else 2.5,
-        inord_evaluations=6 if FULL_RUN else 4,
-        inord_timeout=25.0 if FULL_RUN else 15.0,
-        plo_timeout=25.0 if FULL_RUN else 15.0,
+def portfolio_params() -> GenerationParams:
+    """``GenerationParams`` defaults; larger budgets for the full run."""
+    if not FULL_RUN:
+        return GenerationParams(node_cap=node_cap())
+    return GenerationParams(
+        node_cap=None,
+        exact_timeout=10.0,
+        exact_ratio_timeout=1.2,
+        inord_timeout=25.0,
+        plo_timeout=25.0,
     )
 
 
+def table_rows(specs, library: str, params: GenerationParams) -> list:
+    """Generate and optimize ``specs`` into a scratch database and
+    tabulate its area-best artifact per function."""
+    with tempfile.TemporaryDirectory(prefix="table1-") as root:
+        db = BenchmarkDatabase(root)
+        db.generate(specs, libraries=(library,), params=params)
+        db.optimize(params=params)
+        return database_table_rows(db, library)
+
+
 def run_table(library: str = QCA_ONE) -> str:
-    rows = []
     params = portfolio_params()
-    cap = node_cap()
-    for spec in selected_specs():
-        started = time.monotonic()
-        row, _ = table_row(spec, library, params, node_cap=cap)
-        elapsed = time.monotonic() - started
-        rows.append(row)
-        print(f"[{elapsed:6.1f}s] {row.format()}", flush=True)
+    started = time.monotonic()
+    rows = table_rows(selected_specs(), library, params)
+    print(f"[{time.monotonic() - started:6.1f}s] {len(rows)} rows", flush=True)
     table = format_table(rows, library)
+    cap = params.node_cap
     header = (
         f"node cap: {cap if cap else 'full published sizes'} "
         f"(set MNT_BENCH_FULL=1 for the full run)\n"
@@ -90,8 +106,7 @@ def test_table1_small_function_rows(benchmark):
     spec = benchmarks_of("trindade16")[0]
 
     def one_row():
-        row, result = table_row(spec, QCA_ONE, portfolio_params())
-        assert result.succeeded
+        (row,) = table_rows([spec], QCA_ONE, portfolio_params())
         return row
 
     row = benchmark.pedantic(one_row, rounds=1, iterations=1)

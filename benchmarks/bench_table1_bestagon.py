@@ -4,7 +4,7 @@ Same protocol as ``bench_table1.py`` but targeting the hexagonal
 Bestagon library: exact runs directly on the ROW-clocked hexagonal grid
 for small functions, and every Cartesian 2DDWave flow is pushed through
 the 45° hexagonalization (the paper's ``ortho, InOrd (SDN), 45°, PLO``
-combinations).
+combinations); ortho and InOrd place the native two-input gates.
 
 Expected shape: every winner uses the ROW clocking scheme (there is no
 alternative on the hexagonal grid); heuristic flows carry the ``45°``
@@ -21,9 +21,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import pytest
 
-from bench_table1 import portfolio_params, run_table, selected_specs
+from bench_table1 import portfolio_params, run_table, selected_specs, table_rows
 from conftest import write_result
-from repro.core import BESTAGON, table_row
+from repro.core import BESTAGON
 
 
 @pytest.mark.benchmark(group="table1")
@@ -40,8 +40,7 @@ def test_bestagon_winner_is_row_clocked(benchmark):
     spec = selected_specs()[0]
 
     def one_row():
-        row, result = table_row(spec, BESTAGON, portfolio_params())
-        assert result.succeeded
+        (row,) = table_rows([spec], BESTAGON, portfolio_params())
         return row
 
     row = benchmark.pedantic(one_row, rounds=1, iterations=1)

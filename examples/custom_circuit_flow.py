@@ -6,13 +6,17 @@ The scenario the paper's introduction motivates: a designer has a small
 combinational block (here a 2-bit comparator written in structural
 Verilog), wants the area-best QCA ONE layout the current tool landscape
 can produce, and needs a cell-level export for physical simulation.
-The portfolio tries exact physical design on every Cartesian clocking
-scheme, NanoPlaceR, and the ortho + InOrd + PLO stack, verifies every
-candidate, and hands back the smallest one.
+The circuit goes into a scratch benchmark database: ``generate`` tries
+exact physical design on every Cartesian clocking scheme, NanoPlaceR
+and the ortho + InOrd + PLO stack, ``optimize`` post-layout-optimizes
+the rest, every candidate is verified, and the smallest one wins.
 """
 
-from repro import BestParams, apply_gate_library, best_layout, parse_verilog
-from repro.core import QCA_ONE
+import tempfile
+
+from repro import BenchmarkDatabase, GenerationParams, apply_gate_library, parse_verilog
+from repro.benchsuite.registry import BenchmarkSpec
+from repro.core import QCA_ONE, database_table_rows, format_table
 from repro.io import write_qca
 
 COMPARATOR = """
@@ -34,30 +38,37 @@ def main() -> None:
     tables = network.simulate()
     print(f"truth table: 0x{tables[0].to_hex()}")
 
-    result = best_layout(
-        network,
-        QCA_ONE,
-        BestParams(exact_timeout=8.0, exact_ratio_timeout=1.0),
+    spec = BenchmarkSpec(
+        "custom", "comparator2", network.num_pis(), network.num_pos(),
+        network.num_gates(), lambda node_cap: network,
     )
-    if not result.succeeded:
-        raise SystemExit(f"no verified layout found: {result.rejected}")
+    params = GenerationParams(exact_timeout=8.0, exact_ratio_timeout=1.0)
+    with tempfile.TemporaryDirectory() as root:
+        db = BenchmarkDatabase(root)
+        generated = db.generate([spec], libraries=(QCA_ONE,), params=params)
+        db.optimize(params=params)
+        candidates = [record for record in db.files() if record.area is not None]
+        if not candidates:
+            raise SystemExit("no verified layout found")
+        ((winner, _),) = db.best()
+        layout = db.load_layout(winner)
+        table = format_table(database_table_rows(db, QCA_ONE), QCA_ONE)
 
-    print(f"\n{len(result.candidates)} verified candidate(s):")
-    for candidate in result.candidates:
-        marker = "  <== winner" if candidate is result.winner else ""
+    print(f"\ngenerate: {generated.report.summary()}")
+    print(f"{len(candidates)} verified candidate(s):")
+    for record in candidates:
+        marker = "  <== winner" if record is winner else ""
+        label = ", ".join((record.algorithm, *record.optimizations))
         print(
-            f"  {candidate.algorithm_label:32s} {candidate.scheme:8s} "
-            f"{candidate.metrics.width}x{candidate.metrics.height}"
-            f"={candidate.metrics.area}{marker}"
+            f"  {label:32s} {record.clocking_scheme:8s} "
+            f"{record.width}x{record.height}={record.area}{marker}"
         )
-    for reason in result.rejected:
-        print(f"  rejected: {reason}")
 
-    winner = result.winner
-    print(f"\nwinning layout ({winner.algorithm_label} / {winner.scheme}):")
-    print(winner.layout.render())
+    print(f"\n{table}")
+    print(f"\nwinning layout ({winner.path}):")
+    print(layout.render())
 
-    cells = apply_gate_library(winner.layout, QCA_ONE)
+    cells = apply_gate_library(layout, QCA_ONE)
     print(f"\nQCA ONE cells: {cells.num_cells()} "
           f"({cells.num_crossing_cells()} on crossing layers)")
     write_qca(cells, "comparator2.qca")

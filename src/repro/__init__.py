@@ -89,12 +89,9 @@ __all__, __getattr__, __dir__ = lazy_namespace(__name__, {
     ".benchsuite": ("all_benchmarks", "benchmarks_of", "get_benchmark", "suites"),
     ".core": (
         "BenchmarkDatabase",
-        "BestParams",
         "GenerationParams",
         "Selection",
-        "best_layout",
         "facet_counts",
         "format_table",
-        "table_row",
     ),
 })

@@ -28,8 +28,7 @@ from .engine import best_pairs, gate_level_records, sweep_database
 
 
 def algorithm_label(record) -> str:
-    """Paper-style Algorithm column: base algorithm + optimisations,
-    matching ``FlowCandidate.algorithm_label``."""
+    """Paper-style Algorithm column: base algorithm + optimisations."""
     parts = [record.algorithm or "", *record.optimizations]
     return ", ".join(part for part in parts if part)
 

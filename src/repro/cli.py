@@ -15,8 +15,8 @@ equivalent of the hosted website:
   geometry and compression ratio, facet-index freshness, fleet totals;
 * ``mnt-bench verify`` — re-verify every stored artifact (DRC + output
   signature against its Verilog specification) in one batch job;
-* ``mnt-bench best`` — run the portfolio for one function and print the
-  paper-style table row;
+* ``mnt-bench best`` — generate and optimize one function into a
+  temporary database and print its paper-style table row;
 * ``mnt-bench show`` — render an ``.fgl`` file as ASCII art;
 * ``mnt-bench svg`` — render an ``.fgl`` file as an SVG drawing;
 * ``mnt-bench profile`` — structural analysis of a benchmark network;
@@ -382,16 +382,20 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_best(args) -> int:
-    from .core import BestParams, format_table, table_row
+    import tempfile
+
+    from .core import BenchmarkDatabase, GenerationParams, database_table_rows, format_table
 
     spec = _benchmark(args.benchmark)
-    params = BestParams(exact_timeout=args.exact_timeout)
-    row, result = table_row(spec, args.library, params, node_cap=args.node_cap)
-    print(format_table([row], args.library))
-    if result.winner is None:
-        print("rejections:")
-        for reason in result.rejected:
-            print(f"  {reason}")
+    params = GenerationParams(node_cap=args.node_cap, exact_timeout=args.exact_timeout)
+    with tempfile.TemporaryDirectory(prefix="mnt-bench-best-") as root:
+        db = BenchmarkDatabase(root)
+        generated = db.generate([spec], libraries=(args.library,), params=params)
+        db.optimize(params=params)
+        rows = database_table_rows(db, args.library)
+    print(format_table(rows, args.library))
+    if not rows:
+        print(f"no verified layout: {generated.report.summary()}")
         return 1
     return 0
 
@@ -673,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     best = sub.add_parser("best", help="run the portfolio for one function")
     best.add_argument("benchmark", metavar="SUITE/NAME")
-    best.add_argument("--library", default="QCA ONE")
+    best.add_argument("--library", default="QCA ONE", choices=["QCA ONE", "Bestagon"])
     best.add_argument("--node-cap", type=int, default=None)
     best.add_argument("--exact-timeout", type=float, default=10.0)
 

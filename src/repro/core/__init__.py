@@ -1,8 +1,8 @@
-"""MNT Bench core: benchmark database, selection, best-layout portfolio.
+"""MNT Bench core: benchmark database, selection, Table I rows.
 
 The names below resolve on first use (see :mod:`repro._lazy`): the
-database and its query path do not import the best-layout portfolio,
-the paper tables or the snapshot layer until something reads them.
+database and its query path do not import the paper tables or the
+snapshot layer until something reads them.
 """
 
 from .._lazy import lazy_namespace
@@ -15,14 +15,6 @@ __all__, __getattr__, __dir__ = lazy_namespace(__name__, {
         "GenerationOutcome",
         "GenerationParams",
         "GenerationReport",
-    ),
-    ".best": (
-        "BESTAGON",
-        "QCA_ONE",
-        "BestParams",
-        "BestResult",
-        "FlowCandidate",
-        "best_layout",
     ),
     ".facet_index": ("FacetIndex", "records_digest"),
     ".snapshot": ("DatabaseSnapshot", "SnapshotManager", "StoreView"),
@@ -38,11 +30,11 @@ __all__, __getattr__, __dir__ = lazy_namespace(__name__, {
         "facet_counts",
     ),
     ".table": (
+        "BESTAGON",
+        "QCA_ONE",
         "TableRow",
-        "baseline_area",
         "database_table_rows",
         "format_table",
-        "table_row",
     ),
     ".contribute": ("SubmissionResult", "submit_fgl_file", "submit_layout"),
 })

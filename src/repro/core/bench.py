@@ -59,7 +59,7 @@ from ..physical_design.nanoplacer import (
     NanoPlaceRScaleError,
     nanoplacer_layout,
 )
-from ..physical_design.ortho import OrthoError
+from ..physical_design.ortho import OrthoError, OrthoParams
 from .facet_index import FacetIndex, records_digest
 from .selection import AbstractionLevel, Selection
 from .store import (
@@ -341,15 +341,20 @@ def _run_flow(network: LogicNetwork, flow: str, params: GenerationParams,
 
     ``stats_sink`` collects the :class:`ExactSearchStats` of every exact
     search the flow performs (exact flows append exactly one entry)."""
-    if flow == "ortho_opt":
+    if flow in ("ortho_opt", "hex:ortho_opt"):
         # The plain ortho layout is InOrd's identity evaluation, so one
-        # search yields both of the function's ortho artifacts.
+        # search yields both of the function's ortho artifacts.  Bestagon
+        # places its native two-input gates instead of their AOIG
+        # decomposition and scores InOrd by the area after 45°.
+        hexagonal = flow == "hex:ortho_opt"
         try:
             inord = input_ordering(
                 network,
                 InputOrderingParams(
                     max_evaluations=params.inord_evaluations,
                     timeout=params.inord_timeout,
+                    ortho=OrthoParams(keep_two_input=hexagonal),
+                    objective="hex_area" if hexagonal else "area",
                 ),
             )
         except OrthoError:
@@ -358,7 +363,7 @@ def _run_flow(network: LogicNetwork, flow: str, params: GenerationParams,
             inord.layout.clone(),
             PostLayoutParams(max_passes=params.plo_passes, timeout=params.plo_timeout),
         )
-        return [
+        produced = [
             (inord.identity.layout, "ortho", "2DDWave", (), inord.identity.runtime_seconds),
             (
                 plo.layout,
@@ -368,6 +373,7 @@ def _run_flow(network: LogicNetwork, flow: str, params: GenerationParams,
                 inord.runtime_seconds + plo.runtime_seconds,
             ),
         ]
+        return _hexagonalize(produced) if hexagonal else produced
     if flow == "npr":
         try:
             result = nanoplacer_layout(
@@ -414,28 +420,23 @@ def _run_flow(network: LogicNetwork, flow: str, params: GenerationParams,
         if result.layout is None:
             return []
         return [(result.layout, "exact", "ROW", (), result.runtime_seconds)]
-    if flow.startswith("hex:"):
-        base = flow.split(":", 1)[1]
-        if base == "exact":
-            base = "exact:2DDWave"
-        produced = []
-        for layout, algorithm, scheme, opts, runtime in _run_flow(
-            network, base, params, stats_sink
-        ):
-            if scheme != "2DDWave" or layout.topology is not Topology.CARTESIAN:
-                continue
-            hexed = to_hexagonal(layout)
-            produced.append(
-                (
-                    hexed.layout,
-                    algorithm,
-                    "ROW",
-                    opts + ("45°",),
-                    runtime + hexed.runtime_seconds,
-                )
-            )
-        return produced
+    if flow in ("hex:npr", "hex:exact"):
+        base = "exact:2DDWave" if flow == "hex:exact" else "npr"
+        return _hexagonalize(_run_flow(network, base, params, stats_sink))
     raise ValueError(f"unknown flow {flow!r}")
+
+
+def _hexagonalize(produced: list) -> list:
+    """The 45° images of the 2DDWave layouts among a flow's outputs."""
+    hexed = []
+    for layout, algorithm, scheme, opts, runtime in produced:
+        if scheme != "2DDWave" or layout.topology is not Topology.CARTESIAN:
+            continue
+        result = to_hexagonal(layout)
+        hexed.append(
+            (result.layout, algorithm, "ROW", opts + ("45°",), runtime + result.runtime_seconds)
+        )
+    return hexed
 
 
 def _execute_flow_task(task: FlowTask) -> FlowTaskResult:

@@ -1,25 +1,31 @@
 """Table I generation: paper-style rows with ΔA and paper comparison.
 
 For every benchmark function and gate library, a row reports the
-interface (*I/O*), node count (*N*), the winning layout's dimensions and
-area, its runtime, the algorithm combination and clocking scheme, and
-ΔA — the area reduction the optimal tool combination achieves over the
-single-tool baseline (plain ortho for QCA ONE; plain ortho + 45° for
+interface (*I/O*), node count (*N*), the area-best layout's dimensions
+and area, its runtime, the algorithm combination and clocking scheme,
+and ΔA — the area reduction the optimal tool combination achieves over
+the single-tool baseline (plain ortho for QCA ONE; plain ortho + 45° for
 Bestagon), which is the "previous state of the art" the paper measures
 against.  The paper's own values are attached where Table I lists them.
+
+The rows tabulate a benchmark database: ``generate`` and ``optimize``
+run the tool portfolio, :func:`database_table_rows` picks the area-best
+artifact per function.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-from ..benchsuite.registry import BenchmarkSpec
-from ..networks.logic_network import LogicNetwork
-from ..optimization.hexagonalization import to_hexagonal
-from ..physical_design.ortho import OrthoError, OrthoParams, orthogonal_layout
-from .best import BESTAGON, QCA_ONE, BestParams, BestResult, best_layout
 from .paper_data import PaperEntry, paper_entry
+
+#: Gate library identifiers, matching :mod:`repro.gatelibs`.
+QCA_ONE = "QCA ONE"
+BESTAGON = "Bestagon"
+
+#: (optimizations, clocking scheme) of each library's plain ortho
+#: artifact: the baseline ΔA is measured against.
+_PLAIN_ORTHO = {QCA_ONE: ((), "2DDWave"), BESTAGON: (("45°",), "ROW")}
 
 
 @dataclass
@@ -39,15 +45,16 @@ class TableRow:
     runtime_seconds: float | None
     algorithm: str | None
     scheme: str | None
-    baseline_area: int | None
+    #: Area of the function's plain ortho layout (the ΔA baseline).
+    ortho_area: int | None
     paper: PaperEntry | None
 
     @property
     def delta_area_percent(self) -> float | None:
         """Measured ΔA versus the single-tool baseline."""
-        if self.area is None or not self.baseline_area:
+        if self.area is None or not self.ortho_area:
             return None
-        return 100.0 * (self.area / self.baseline_area - 1.0)
+        return 100.0 * (self.area / self.ortho_area - 1.0)
 
     def format(self) -> str:
         io = f"{self.num_inputs}/{self.num_outputs}"
@@ -72,60 +79,6 @@ class TableRow:
         )
 
 
-def baseline_area(network: LogicNetwork, library: str) -> int | None:
-    """Area of the single-tool baseline flow (plain ortho [+ 45°])."""
-    try:
-        result = orthogonal_layout(
-            network, OrthoParams(keep_two_input=library == BESTAGON)
-        )
-    except OrthoError:
-        return None
-    layout = result.layout
-    if library == BESTAGON:
-        layout = to_hexagonal(layout).layout
-    width, height = layout.bounding_box()
-    return width * height
-
-
-def table_row(
-    spec: BenchmarkSpec,
-    library: str = QCA_ONE,
-    params: BestParams | None = None,
-    node_cap: int | None = None,
-) -> tuple[TableRow, BestResult]:
-    """Run the portfolio for one benchmark and render its row."""
-    network = spec.build(node_cap)
-    base = baseline_area(network, library)
-    result = best_layout(network, library, params)
-    paper = paper_entry(spec.suite, spec.name, library)
-    if result.winner is None:
-        row = TableRow(
-            spec.suite, spec.name, network.num_pis(), network.num_pos(),
-            network.num_gates(), spec.reported_nodes, library,
-            None, None, None, None, None, None, base, paper,
-        )
-        return row, result
-    winner = result.winner
-    row = TableRow(
-        suite=spec.suite,
-        name=spec.name,
-        num_inputs=network.num_pis(),
-        num_outputs=network.num_pos(),
-        num_nodes=network.num_gates(),
-        reported_nodes=spec.reported_nodes,
-        library=library,
-        width=winner.metrics.width,
-        height=winner.metrics.height,
-        area=winner.metrics.area,
-        runtime_seconds=winner.runtime_seconds,
-        algorithm=winner.algorithm_label,
-        scheme=winner.scheme,
-        baseline_area=base,
-        paper=paper,
-    )
-    return row, result
-
-
 def database_table_rows(
     db,
     library: str = QCA_ONE,
@@ -134,11 +87,11 @@ def database_table_rows(
 ) -> list[TableRow]:
     """Table I rows straight from a benchmark database.
 
-    Instead of re-running the portfolio (:func:`table_row`), the rows
-    tabulate the artifacts already in the database: one columnar sweep
-    computes every metric, the area-best artifact per function wins, and
-    the interface counts come from the decoded layouts themselves.  Pass
-    ``pairs`` to reuse an existing
+    The rows tabulate the artifacts already in the database: one
+    columnar sweep computes every metric, the area-best artifact per
+    function wins, ΔA compares it with the function's plain ortho
+    artifact, and the interface counts come from the decoded layouts
+    themselves.  Pass ``pairs`` to reuse an existing
     :func:`repro.analytics.engine.sweep_database` result.
     """
     from ..analytics.engine import best_pairs, gate_level_records, sweep_database
@@ -146,6 +99,15 @@ def database_table_rows(
     if pairs is None:
         records = gate_level_records(db, selection)
         pairs = sweep_database(db, records)
+    plain = _PLAIN_ORTHO.get(library)
+    ortho_areas = {
+        (record.suite, record.name): analysis.metrics.area
+        for record, analysis in pairs
+        if record.gate_library == library
+        and record.algorithm == "ortho"
+        and (record.optimizations, record.clocking_scheme) == plain
+        and analysis.metrics is not None
+    }
     rows = []
     for record, analysis in best_pairs(pairs):
         if (record.gate_library or "") != library:
@@ -169,7 +131,7 @@ def database_table_rows(
                 runtime_seconds=record.runtime_seconds,
                 algorithm=algorithm or None,
                 scheme=record.clocking_scheme,
-                baseline_area=None,
+                ortho_area=ortho_areas.get((record.suite, record.name)),
                 paper=paper_entry(record.suite, record.name, library),
             )
         )

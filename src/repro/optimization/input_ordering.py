@@ -142,8 +142,8 @@ def input_ordering(
     identity_result = evaluate(identity, started)
     if identity_result is None:
         raise OrthoError("ortho failed even for the identity PI order")
-    best_layout = identity_result.layout
-    area_identity = score(best_layout)
+    best_found = identity_result.layout
+    area_identity = score(best_found)
     best_area, best_order = area_identity, identity
 
     candidates: list[list[int]] = []
@@ -172,10 +172,10 @@ def input_ordering(
             continue
         area = score(outcome.layout)
         if area < best_area:
-            best_area, best_layout, best_order = area, outcome.layout, order
+            best_area, best_found, best_order = area, outcome.layout, order
 
     return InputOrderingResult(
-        best_layout,
+        best_found,
         best_order,
         time.monotonic() - started,
         evaluations,

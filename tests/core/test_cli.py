@@ -243,6 +243,15 @@ def test_non_positive_numeric_flags_are_rejected(capsys, argv):
     assert f"argument {argv[1]}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("library", ["bestagon", "foo"])
+def test_best_accepts_only_real_library_names(capsys, library):
+    # ``generate`` and the Table I rows match the name exactly.
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["best", "trindade16/xor2", "--library", library])
+    assert exc.value.code == 2
+    assert "argument --library: invalid choice" in capsys.readouterr().err
+
+
 def test_removed_exact_jobs_flag_is_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["generate", "--exact-jobs", "0"])
