@@ -151,8 +151,6 @@ def bench_kill_resume(quick: bool) -> dict:
     """SIGKILL a sweep at ~50 % journal commits, resume, verify."""
     suite = None if quick else "trindade16"
     benchmarks = QUICK_BENCHMARKS if quick else None
-    total = 12 if quick else 42
-    threshold = total // 2
     delay = 0.05
 
     with TemporaryDirectory(prefix="bench_scheduler_") as tmp:
@@ -160,8 +158,10 @@ def bench_kill_resume(quick: bool) -> dict:
         reference, victim = root / "reference", root / "victim"
 
         started = time.perf_counter()
-        _finish(_spawn(reference, suite=suite, benchmarks=benchmarks))
+        total = _finish(_spawn(reference, suite=suite,
+                               benchmarks=benchmarks))["executed"]
         reference_wall = time.perf_counter() - started
+        threshold = total // 2
 
         proc = _spawn(victim, suite=suite, benchmarks=benchmarks,
                       delay=delay, scheduler={"flush_every": 3})

@@ -138,8 +138,7 @@ class _GenerateProgress:
             self._current = label
         now = self._clock()
         total = stats.queued
-        finished = (stats.done + stats.failed + stats.resumed
-                    + stats.cancelled + stats.remote_completed)
+        finished = stats.done + stats.failed + stats.resumed + stats.cancelled
         complete = total > 0 and finished >= total
         if not complete and now - self._last_emit < self.min_interval:
             return
@@ -190,10 +189,8 @@ def _cmd_generate(args) -> int:
     )
     scheduler = SchedulerParams(
         resume=args.resume,
-        queue_dir=args.queue_dir,
         max_tasks_per_worker=args.max_tasks_per_worker,
         early_cancel=args.early_cancel,
-        node_id=args.node_id,
         progress=None if args.quiet else _GenerateProgress(),
     )
     libraries = tuple(args.library) if args.library else ("QCA ONE", "Bestagon")
@@ -219,9 +216,7 @@ def _cmd_generate(args) -> int:
             "scheduler: "
             f"{sched_stats['queued']} queued, {sched_stats['done']} done, "
             f"{sched_stats['failed']} failed, {sched_stats['resumed']} resumed, "
-            f"{sched_stats['cancelled']} cancelled, "
-            f"{sched_stats['stolen']} stolen, "
-            f"{sched_stats['remote_completed']} remote "
+            f"{sched_stats['cancelled']} cancelled "
             f"[{sched_stats['mode']}, node {sched_stats['node']}]"
         )
     if report.exact_search is not None:
@@ -571,12 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
         "of re-running journaled flows",
     )
     gen.add_argument(
-        "--queue-dir", metavar="DIR",
-        help="shared work-queue directory: multiple generate processes "
-        "pointing at the same DIR shard one sweep (atomic claims, "
-        "heartbeat leases, stale-lease takeover)",
-    )
-    gen.add_argument(
         "--task-timeout", type=_positive(float), metavar="SECONDS",
         help="wall budget per flow task; overruns are SIGKILLed and "
         "recorded as timeout rejections",
@@ -599,11 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--reproducible", action="store_true",
         help="zero recorded runtimes so identical inputs yield "
         "byte-identical databases",
-    )
-    gen.add_argument(
-        "--node-id", metavar="ID",
-        help="stable scheduler identity in journal/queue files "
-        "(default: hostname-pid)",
     )
     gen.add_argument(
         "--quiet", action="store_true",

@@ -922,10 +922,11 @@ class BenchmarkDatabase:
         (:mod:`repro.scheduler`): pass a
         :class:`~repro.scheduler.SchedulerParams` as ``scheduler`` for
         checkpoint/resume (``resume=True`` replays the generation
-        journal), multi-process sharding (``queue_dir``) and
-        early-cancel of dominated exact tasks; per-task wall/memory
-        budgets live on :class:`GenerationParams` because they affect
-        flow results.  ``profile=True`` profiles every task inside the
+        journal) and early-cancel of dominated exact tasks.
+        ``GenerationParams.jobs`` spreads the tasks over worker
+        processes of this one host; per-task wall/memory budgets live
+        on :class:`GenerationParams` because they affect flow results.
+        ``profile=True`` profiles every task inside the
         worker that runs it and bypasses the flow cache.
         """
         from ..scheduler.engine import SchedulerParams, run_generation

@@ -86,18 +86,17 @@ def structural_order(network: LogicNetwork) -> list[int]:
     """Barycentric PI order: sort PIs by their readers' topological rank.
 
     PIs consumed early in the topological order are fed in first, so the
-    distribution network degenerates into short local hops.
+    distribution network degenerates into short local hops.  Readers
+    outside the order (dangling nodes no layout keeps) are not scored;
+    a PI without a ranked reader goes last.
     """
     rank: dict[int, int] = {}
     for position, uid in enumerate(network.topological_order()):
         rank[uid] = position
     scores = []
     for index, pi in enumerate(network.pis()):
-        readers = network.fanouts(pi)
-        if readers:
-            score = sum(rank.get(r, 0) for r in readers) / len(readers)
-        else:
-            score = float("inf")
+        ranked = [rank[r] for r in network.fanouts(pi) if r in rank]
+        score = sum(ranked) / len(ranked) if ranked else float("inf")
         scores.append((score, index))
     scores.sort()
     return [index for _, index in scores]

@@ -1,4 +1,4 @@
-"""Work-queue generation scheduler (checkpoint/resume, budgets, sharding).
+"""Work-queue generation scheduler (checkpoint/resume, budgets).
 
 ``BenchmarkDatabase.generate`` used to fan a flat task list over one
 process pool and lose every in-flight flow on a crash, timeout or OOM.
@@ -19,14 +19,9 @@ unattended portfolio sweeps (the paper's Table I workload — every tool
 * :mod:`repro.scheduler.worker` — the kill-safe worker pool: dedicated
   pipes per worker so the parent can target one task, worker recycling
   after N tasks, respawn-and-retry on unexpected worker death.
-* :mod:`repro.scheduler.queue` — a directory-based shared queue
-  (``--queue-dir``): atomic ``O_EXCL`` claim files, heartbeat lease
-  mtimes, stale-lease takeover and an atomic results spool, so
-  multiple processes or machines shard one sweep and every participant
-  merges the same single database.
 * :mod:`repro.scheduler.engine` — the orchestration loop tying the
   above together, plus :class:`SchedulerStats` (tasks queued / running
-  / done / failed / cancelled / stolen, per-flow wall time) surfaced
+  / done / failed / cancelled, per-flow wall time) surfaced
   through :class:`~repro.core.bench.GenerationReport` and the serving
   layer's ``/v1/stats``.
 """
@@ -39,13 +34,11 @@ from .engine import (
     run_generation,
 )
 from .journal import JOURNAL_NAME, GenerationJournal, JournalRecord
-from .queue import DirectoryQueue, result_from_json, result_to_json
 from .worker import WorkerPool, WorkerPoolUnavailable
 
 __all__ = [
     "GENERATION_STATS_NAME",
     "JOURNAL_NAME",
-    "DirectoryQueue",
     "GenerationJournal",
     "JournalRecord",
     "SchedulerParams",
@@ -54,7 +47,5 @@ __all__ = [
     "WorkerPool",
     "WorkerPoolUnavailable",
     "apply_memory_limit",
-    "result_from_json",
-    "result_to_json",
     "run_generation",
 ]

@@ -32,16 +32,14 @@ from __future__ import annotations
 import json
 import os
 import socket
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from time import monotonic, sleep
+from time import monotonic
 
 from ..core import bench as _bench
 from .budget import TaskBudget
 from .journal import GenerationJournal
-from .queue import DirectoryQueue, result_from_json, result_to_json
 from .worker import WorkerPool, WorkerPoolUnavailable
 
 GENERATION_STATS_NAME = "generation_stats.json"
@@ -54,8 +52,6 @@ class SchedulerParams:
 
     #: Resume from the generation journal instead of starting fresh.
     resume: bool = False
-    #: Shared work-queue directory for multi-process/machine sharding.
-    queue_dir: Path | str | None = None
     #: Recycle a worker process after this many tasks (0: never).
     max_tasks_per_worker: int = 25
     #: Re-dispatch attempts after an unexpected worker death.
@@ -65,22 +61,13 @@ class SchedulerParams:
     early_cancel: bool = False
     #: Flush index.json/facets.json every N merged tasks.
     flush_every: int = 8
-    #: Lease heartbeat period (queue mode).
-    heartbeat_seconds: float = 1.0
-    #: A claim whose heartbeat is older than this may be stolen.
-    lease_timeout: float = 15.0
     #: Event-loop poll granularity.
     poll_interval: float = 0.05
-    #: Stable identity in journal/queue files; default host-pid.
-    node_id: str | None = None
     #: Optional ``(stats, label)`` callback invoked when a task starts
     #: executing (``label`` names it, e.g. ``"iscas85/c432 (ortho)"``)
     #: and after every merge (``label`` is ``None``).  Purely
     #: observational — exceptions it raises are swallowed.
     progress: object | None = None
-
-    def resolved_node_id(self) -> str:
-        return self.node_id or f"{socket.gethostname()}-{os.getpid()}"
 
     def notify(self, stats: "SchedulerStats", label: str | None) -> None:
         if self.progress is None:
@@ -102,8 +89,6 @@ class SchedulerStats:
     memory_exceeded: int = 0
     cancelled: int = 0
     worker_errors: int = 0
-    remote_completed: int = 0
-    stolen: int = 0
     retries: int = 0
     workers_spawned: int = 0
     workers_recycled: int = 0
@@ -134,8 +119,6 @@ class SchedulerStats:
             "memory_exceeded": self.memory_exceeded,
             "cancelled": self.cancelled,
             "worker_errors": self.worker_errors,
-            "remote_completed": self.remote_completed,
-            "stolen": self.stolen,
             "retries": self.retries,
             "workers_spawned": self.workers_spawned,
             "workers_recycled": self.workers_recycled,
@@ -203,14 +186,13 @@ class _Merger:
     def pending_count(self) -> int:
         return len(self.pending) - len(self._done)
 
-    def offer(self, idx: int, result, executed_by: str | None = None) -> bool:
+    def offer(self, idx: int, result) -> None:
         """Hand over a task result; ignored if ``idx`` already resolved
-        (late result racing a budget kill).  Returns acceptance."""
+        (late result racing a budget kill)."""
         if self.resolved(idx):
-            return False
-        self._buffer[idx] = ("result", result, executed_by)
+            return
+        self._buffer[idx] = ("result", result)
         self._drain()
-        return True
 
     def offer_preloaded(self, idx: int, entry: dict) -> None:
         """Resolve a journaled task from its recorded flow-cache entry
@@ -218,17 +200,17 @@ class _Merger:
         records list stays identical to an uninterrupted run."""
         if self.resolved(idx):
             return
-        self._buffer[idx] = ("preloaded", entry, None)
+        self._buffer[idx] = ("preloaded", entry)
         self._drain()
 
     def _drain(self) -> None:
         while self._next in self._buffer:
-            kind, payload, executed_by = self._buffer.pop(self._next)
+            kind, payload = self._buffer.pop(self._next)
             _, key, task, slot, _ = self.pending[self._next]
             if kind == "preloaded":
                 self._merge_preloaded(key, slot, payload)
             else:
-                self._merge_result(key, task, slot, payload, executed_by)
+                self._merge_result(key, task, slot, payload)
             self._done.add(self._next)
             self._next += 1
             self._since_flush += 1
@@ -247,7 +229,7 @@ class _Merger:
         self.report.resumed += 1
         self.stats.resumed += 1
 
-    def _merge_result(self, key: str, task, slot, result, executed_by) -> None:
+    def _merge_result(self, key: str, task, slot, result) -> None:
         status = self.db._merge_result(key, task, slot, result, self.report)
         for candidate in result.candidates:
             if candidate.status == "admitted" and candidate.width is not None:
@@ -260,7 +242,7 @@ class _Merger:
             self.journal.append(
                 key=key, suite=task.suite, name=task.name, flow=task.flow,
                 status=status, entry=self.db._flow_cache.get(key),
-                seconds=result.wall_seconds, node=executed_by or self.node,
+                seconds=result.wall_seconds, node=self.node,
             )
         counter = "done" if status == "done" else _bench._failure_counter(status)
         setattr(self.stats, counter, getattr(self.stats, counter) + 1)
@@ -296,7 +278,7 @@ class _Run:
         self.params = params
         self.sched = sched
         self.bounds = bounds or {}
-        self.node = sched.resolved_node_id()
+        self.node = f"{socket.gethostname()}-{os.getpid()}"
         self.budget = TaskBudget(
             wall_seconds=params.task_wall_budget,
             memory_bytes=(
@@ -309,10 +291,6 @@ class _Run:
             self.stats.journal_dropped_lines = journal.dropped
         self.merger = _Merger(db, pending, report, journal, self.stats,
                               sched, self.node)
-        self.queue = (
-            DirectoryQueue(sched.queue_dir, self.node)
-            if sched.queue_dir is not None else None
-        )
 
     # -- shared decisions ------------------------------------------------
 
@@ -336,18 +314,6 @@ class _Run:
                     f"the lower bound {bound}")
         return None
 
-    def settle(self, idx: int, result, executed_by: str | None = None) -> None:
-        """Record a locally produced outcome (and spool it for peers)."""
-        _, key, _, _, _ = self.pending[idx]
-        if self.queue is not None:
-            self.queue.write_result(key, result_to_json(result, self.node))
-        self.merger.offer(idx, result, executed_by=executed_by or self.node)
-
-    def adopt_remote(self, idx: int, data: dict) -> None:
-        if self.merger.offer(idx, result_from_json(data),
-                             executed_by=data.get("executed_by")):
-            self.stats.remote_completed += 1
-
 
 def run_generation(db, pending, params, sched: SchedulerParams, report,
                    journal: GenerationJournal | None,
@@ -362,45 +328,21 @@ def run_generation(db, pending, params, sched: SchedulerParams, report,
     run = _Run(db, pending, params, sched, report, journal, bounds)
     started = monotonic()
 
-    if run.queue is not None:
-        for _, key, task, _, preloaded in pending:
-            if task is not None and preloaded is None:
-                run.queue.publish(key, {"suite": task.suite, "name": task.name,
-                                        "flow": task.flow, "key": key})
+    for idx, (_, _, task, _, preloaded) in enumerate(pending):
+        if preloaded is not None:
+            run.merger.offer_preloaded(idx, preloaded)
 
-    heartbeat_stop: threading.Event | None = None
-    heartbeat_thread: threading.Thread | None = None
-    if run.queue is not None:
-        heartbeat_stop = threading.Event()
-
-        def _beat() -> None:
-            while not heartbeat_stop.wait(sched.heartbeat_seconds):
-                run.queue.heartbeat()
-
-        heartbeat_thread = threading.Thread(target=_beat, daemon=True)
-        heartbeat_thread.start()
-
-    try:
-        for idx, (_, _, task, _, preloaded) in enumerate(pending):
-            if preloaded is not None:
-                run.merger.offer_preloaded(idx, preloaded)
-
-        live = [idx for idx, item in enumerate(pending)
-                if item[2] is not None and item[4] is None]
-        want_pool = live and (max(1, params.jobs) > 1 or run.budget.bounded)
-        if want_pool:
-            try:
-                _run_pool(run, live)
-            except WorkerPoolUnavailable:
-                run.stats.mode = "inline-fallback"
-                _run_inline(run, live)
-        elif live:
+    live = [idx for idx, item in enumerate(pending)
+            if item[2] is not None and item[4] is None]
+    want_pool = live and (max(1, params.jobs) > 1 or run.budget.bounded)
+    if want_pool:
+        try:
+            _run_pool(run, live)
+        except WorkerPoolUnavailable:
+            run.stats.mode = "inline-fallback"
             _run_inline(run, live)
-    finally:
-        if heartbeat_stop is not None:
-            heartbeat_stop.set()
-        if heartbeat_thread is not None:
-            heartbeat_thread.join(timeout=5.0)
+    elif live:
+        _run_inline(run, live)
 
     run.stats.wall_seconds = monotonic() - started
     if pending:
@@ -414,7 +356,7 @@ def run_generation(db, pending, params, sched: SchedulerParams, report,
 
 def _run_pool(run: _Run, live: list[int]) -> None:
     """Budget-enforcing multi-process executor."""
-    params, sched, merger, queue = run.params, run.sched, run.merger, run.queue
+    params, sched, merger = run.params, run.sched, run.merger
     pool = WorkerPool(
         max(1, params.jobs),
         _bench._execute_task,
@@ -423,7 +365,6 @@ def _run_pool(run: _Run, live: list[int]) -> None:
     )
     run.stats.mode = "pool"
     backlog = deque(live)
-    remote: dict[int, str] = {}
     retries: dict[int, int] = {}
     try:
         while merger.pending_count() > 0:
@@ -432,44 +373,33 @@ def _run_pool(run: _Run, live: list[int]) -> None:
                 idx = backlog.popleft()
                 if merger.resolved(idx):
                     continue
-                _, key, task, _, _ = run.pending[idx]
-                if queue is not None and idx not in retries:
-                    claimed, data = queue.claim(key)
-                    if data is not None:
-                        run.adopt_remote(idx, data)
-                        continue
-                    if not claimed:
-                        remote[idx] = key
-                        continue
+                _, _, task, _, _ = run.pending[idx]
                 reason = run.dominated(idx)
                 if reason is not None:
-                    run.settle(idx, _failure_result(task.flow, "cancelled", reason))
+                    merger.offer(idx, _failure_result(task.flow, "cancelled", reason))
                     continue
-                if queue is not None:
-                    queue.mark_execution(key)
                 pool.dispatch(idx, task)
                 sched.notify(run.stats, _task_label(task))
             # 2. Collect completions.
-            waiting = pool.busy_count > 0 or bool(remote)
             for status, idx, payload in pool.poll(
-                sched.poll_interval if waiting else 0.0
+                sched.poll_interval if pool.busy_count > 0 else 0.0
             ):
                 if merger.resolved(idx):
                     continue
                 _, _, task, _, _ = run.pending[idx]
                 if status == "ok":
-                    run.settle(idx, payload)
+                    merger.offer(idx, payload)
                 elif status == "memory":
-                    run.settle(idx, _failure_result(task.flow, "memory", payload))
+                    merger.offer(idx, _failure_result(task.flow, "memory", payload))
                 else:
-                    run.settle(idx, _failure_result(task.flow, "error", payload))
+                    merger.offer(idx, _failure_result(task.flow, "error", payload))
             # 3. Enforce wall budgets.
             if run.budget.wall_seconds is not None:
                 for idx, elapsed in pool.check_budgets(run.budget.wall_seconds):
                     if merger.resolved(idx):
                         continue
                     _, _, task, _, _ = run.pending[idx]
-                    run.settle(idx, _failure_result(
+                    merger.offer(idx, _failure_result(
                         task.flow, "timeout",
                         f"task wall budget ({run.budget.wall_seconds:.2f} s) "
                         f"exceeded after {elapsed:.2f} s",
@@ -485,7 +415,7 @@ def _run_pool(run: _Run, live: list[int]) -> None:
                         continue
                     elapsed = pool.kill_task(idx) or 0.0
                     _, _, task, _, _ = run.pending[idx]
-                    run.settle(idx, _failure_result(
+                    merger.offer(idx, _failure_result(
                         task.flow, "cancelled", reason, seconds=elapsed))
             # 5. Retry tasks whose worker died without reporting.
             for idx in pool.reap():
@@ -497,11 +427,9 @@ def _run_pool(run: _Run, live: list[int]) -> None:
                     backlog.appendleft(idx)
                 else:
                     _, _, task, _, _ = run.pending[idx]
-                    run.settle(idx, _failure_result(
+                    merger.offer(idx, _failure_result(
                         task.flow, "error",
                         "worker process died without reporting a result"))
-            # 6. Progress on remotely claimed tasks.
-            _poll_remote(run, remote, backlog)
     finally:
         run.stats.workers_spawned = pool.spawned
         run.stats.workers_recycled = pool.recycled
@@ -513,69 +441,20 @@ def _run_pool(run: _Run, live: list[int]) -> None:
 def _run_inline(run: _Run, live: list[int]) -> None:
     """In-process serial executor (``jobs=1`` without budgets, or the
     fallback when worker processes cannot be spawned).  Identical
-    merge/journal/queue behaviour; wall/memory budgets are not
-    enforceable in-process."""
-    merger, queue, sched = run.merger, run.queue, run.sched
-    backlog = deque(live)
-    remote: dict[int, str] = {}
-    while backlog:
-        idx = backlog.popleft()
-        if merger.resolved(idx):
+    merge/journal behaviour; wall/memory budgets are not enforceable
+    in-process."""
+    for idx in live:
+        if run.merger.resolved(idx):  # merged before a pool gave out
             continue
-        _, key, task, _, _ = run.pending[idx]
-        if queue is not None:
-            claimed, data = queue.claim(key)
-            if data is not None:
-                run.adopt_remote(idx, data)
-                continue
-            if not claimed:
-                remote[idx] = key
-                continue
-        _execute_inline(run, idx)
-    while merger.pending_count() > 0:
-        ready = deque()
-        _poll_remote(run, remote, ready)
-        while ready:
-            idx = ready.popleft()
-            if not merger.resolved(idx):
-                _execute_inline(run, idx)
-        if merger.pending_count() > 0 and not ready:
-            sleep(sched.poll_interval)
-
-
-def _execute_inline(run: _Run, idx: int) -> None:
-    _, key, task, _, _ = run.pending[idx]
-    reason = run.dominated(idx)
-    if reason is not None:
-        run.settle(idx, _failure_result(task.flow, "cancelled", reason))
-        return
-    if run.queue is not None:
-        run.queue.mark_execution(key)
-    run.sched.notify(run.stats, _task_label(task))
-    try:
-        result = _bench._execute_task(task)
-    except Exception as exc:  # noqa: BLE001 - recorded, not dropped
-        result = _failure_result(task.flow, "error",
-                                 f"{type(exc).__name__}: {exc}")
-    run.settle(idx, result)
-
-
-def _poll_remote(run: _Run, remote: dict[int, str], backlog: deque) -> None:
-    """Advance tasks claimed by other processes: adopt their results,
-    re-claim orphans, steal stale leases."""
-    if run.queue is None or not remote:
-        return
-    for idx in sorted(remote):
-        key = remote[idx]
-        claimed, data = run.queue.claim(key)
-        if data is not None:
-            run.adopt_remote(idx, data)
-            del remote[idx]
-        elif claimed:
-            # The claimant vanished without result or lease: take over.
-            del remote[idx]
-            backlog.append(idx)
-        elif run.queue.steal(key, run.sched.lease_timeout):
-            run.stats.stolen += 1
-            del remote[idx]
-            backlog.append(idx)
+        _, _, task, _, _ = run.pending[idx]
+        reason = run.dominated(idx)
+        if reason is not None:
+            run.merger.offer(idx, _failure_result(task.flow, "cancelled", reason))
+            continue
+        run.sched.notify(run.stats, _task_label(task))
+        try:
+            result = _bench._execute_task(task)
+        except Exception as exc:  # noqa: BLE001 - recorded, not dropped
+            result = _failure_result(task.flow, "error",
+                                     f"{type(exc).__name__}: {exc}")
+        run.merger.offer(idx, result)

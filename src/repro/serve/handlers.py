@@ -332,8 +332,10 @@ class BenchService:
         ``generate`` persists ``generation_stats.json`` next to the
         index (see :mod:`repro.scheduler.engine`); serving surfaces it
         verbatim so operators can watch an unattended sweep's task
-        counters (done/failed/cancelled/stolen, per-flow wall time)
-        through the same ``/v1/stats`` endpoint they already poll.
+        counters (done/failed/cancelled, per-flow wall time)
+        through the same ``/v1/stats`` endpoint they already poll.  The
+        file is served as written, so stats of older sweeps keep the
+        key set they were recorded with.
         """
         from ..scheduler.engine import GENERATION_STATS_NAME
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.benchsuite import get_benchmark
 from repro.io import layout_to_fgl
+from repro.networks import network_to_verilog, parse_verilog
 from repro.networks.library import full_adder, mux21, one_bit_mux_tree
 from repro.optimization import InputOrderingParams, input_ordering, structural_order
 from repro.physical_design import OrthoParams, orthogonal_layout
@@ -18,6 +19,16 @@ class TestStructuralOrder:
 
     def test_deterministic(self):
         assert structural_order(full_adder()) == structural_order(full_adder())
+
+    @pytest.mark.parametrize("name, expected", [
+        ("t", [1, 3, 4, 0, 2]), ("newtag", [1, 2, 0, 3, 4, 5, 6, 7]),
+    ])
+    def test_dangling_readers_do_not_move_the_order(self, name, expected):
+        # The built networks carry dangling nodes that their Verilog
+        # drops; both must give the order the database's flows place.
+        built = get_benchmark("fontes18", name).build()
+        parsed = parse_verilog(network_to_verilog(built))
+        assert structural_order(built) == structural_order(parsed) == expected
 
 
 class TestSearch:

@@ -74,18 +74,6 @@ if args.get("suite"):
 else:
     specs = [get_benchmark(s, n) for s, n in args["benchmarks"]]
 
-if args.get("barrier"):
-    # Rendezvous: report readiness, then wait for the parent to drop
-    # the barrier file so contending processes start simultaneously.
-    print("READY", flush=True)
-    import pathlib
-    barrier = pathlib.Path(args["barrier"])
-    deadline = time.monotonic() + 60
-    while not barrier.exists():
-        if time.monotonic() > deadline:
-            raise SystemExit("barrier never dropped")
-        time.sleep(0.005)
-
 params = GenerationParams(**args["params"])
 scheduler = SchedulerParams(**args.get("scheduler", {}))
 db = BenchmarkDatabase(args["db"])
@@ -113,7 +101,6 @@ def spawn_generate(
     params: dict | None = None,
     scheduler: dict | None = None,
     delay: float = 0.0,
-    barrier: Path | None = None,
 ) -> subprocess.Popen:
     """Launch the generation driver as a killable subprocess."""
     payload = {
@@ -123,7 +110,6 @@ def spawn_generate(
         "params": dict(params or DETERMINISTIC_PARAMS),
         "scheduler": dict(scheduler or {}),
         "delay": delay,
-        "barrier": str(barrier) if barrier is not None else None,
     }
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.Popen(
