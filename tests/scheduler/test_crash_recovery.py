@@ -12,9 +12,11 @@ re-execute.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import signal
+import socket
 import threading
 import time
 
@@ -254,6 +256,29 @@ def test_worker_sigkill_is_retried_in_process(tmp_path, monkeypatch):
         reference, benchmarks=(("trindade16", "mux21"), ("trindade16", "xor2"))
     )
     assert_databases_identical(reference, tmp_path / "victim")
+
+
+def test_resumed_journal_names_the_process_of_each_line(tmp_path):
+    """A resumed sweep keeps the crashed process's journal lines and
+    appends one line per flow it executes under its own ``hostname-pid``."""
+    root = tmp_path / "db"
+    crashed = spawn_generate(root, suite="trindade16", delay=0.04)
+    committed = kill_at_journal_lines(crashed, root / JOURNAL_NAME, 5)
+    assert 0 < committed < FULL_SUITE_FLOWS, "kill missed the sweep window"
+
+    resumer = spawn_generate(root, suite="trindade16", scheduler={"resume": True})
+    report = finish_generate(resumer)
+    host = socket.gethostname()
+    assert report["scheduler"]["node"] == f"{host}-{resumer.pid}"
+    assert report["executed"] == FULL_SUITE_FLOWS - committed
+    nodes = [
+        json.loads(line)["node"]
+        for line in (root / JOURNAL_NAME).read_text().splitlines()
+    ]
+    assert nodes == (
+        [f"{host}-{crashed.pid}"] * committed
+        + [f"{host}-{resumer.pid}"] * report["executed"]
+    )
 
 
 def test_resume_on_clean_database_executes_everything(tmp_path):

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import http.client
 import json
+import shutil
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +68,22 @@ def test_stats_surfaces_scheduler_sidecar(own_server):
     assert generation["cancelled"] == 1
     assert generation["mode"] == "pool"
     assert generation["flow_seconds"] == {"ortho": 1.5}
+
+
+def test_recorded_sidecar_is_served_verbatim(own_server):
+    """The checked-in ISCAS85+EPFL sweep's stats were recorded with an
+    older key set (``remote_completed``, ``stolen``); ``/v1/stats``
+    serves them as written rather than reshaping them."""
+    root, srv = own_server
+    recorded = (
+        Path(__file__).resolve().parents[2]
+        / "sweeps" / "iscas85_epfl" / GENERATION_STATS_NAME
+    )
+    shutil.copyfile(recorded, root / GENERATION_STATS_NAME)
+
+    generation = _get_stats(srv)["generation"]
+    assert generation == json.loads(recorded.read_text(encoding="utf-8"))
+    assert {"remote_completed", "stolen"} <= set(generation)
 
 
 def test_corrupt_sidecar_degrades_to_none(own_server):
