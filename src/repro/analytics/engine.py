@@ -226,8 +226,8 @@ def database_info(db) -> dict:
     """One-shot database statistics for ``mnt-bench info``.
 
     Record counts per abstraction level, pack size and compression
-    ratio, loose vs. packed artifact split, facet-index freshness, and
-    fleet-wide tile totals from one columnar sweep.
+    ratio, loose vs. packed artifact split, and fleet-wide tile totals
+    from one columnar sweep.
     """
     records = db.files()
     levels: dict[str, int] = {}
@@ -265,7 +265,6 @@ def database_info(db) -> dict:
         "compression_ratio": (
             round(uncompressed / pack_bytes, 2) if pack_bytes else None
         ),
-        "facet_index": db.facet_sidecar_status(),
         "layout_totals": totals,
         "fallback_decodes": batch.fallback_decodes,
         "backend": "numpy",

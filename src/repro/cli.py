@@ -12,7 +12,7 @@ equivalent of the hosted website:
 * ``mnt-bench report`` — Table-I / Figure-1 aggregates over the whole
   database from one columnar sweep (markdown, CSV or JSON);
 * ``mnt-bench info`` — database statistics: record counts, pack
-  geometry and compression ratio, facet-index freshness, fleet totals;
+  geometry and compression ratio, fleet totals;
 * ``mnt-bench verify`` — re-verify every stored artifact (DRC + output
   signature against its Verilog specification) in one batch job;
 * ``mnt-bench best`` — generate and optimize one function into a
@@ -274,8 +274,6 @@ def _cmd_query(args) -> int:
             "count": len(hits),
             "files": [record.to_json() for record in hits],
         }
-        if db.facet_degraded:
-            payload["facet_index"] = db.facet_sidecar_status()
         if args.facets:
             payload["facets"] = facet_counts(db.files())
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -345,11 +343,6 @@ def _cmd_info(args) -> int:
         f"          {info['pack_bytes']} bytes compressed / "
         f"{info['uncompressed_bytes']} raw"
         + (f" ({ratio:.2f}x)" if ratio else "")
-    )
-    facet = info["facet_index"]
-    print(
-        f"facets:   {facet['status']}"
-        + (" [degraded — queries rebuild in memory]" if facet["degraded"] else "")
     )
     totals = info["layout_totals"]
     print(
@@ -685,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument(
         "--warm",
         action="store_true",
-        help="pre-build the facet index and parsed-layout cache before binding",
+        help="parse the Bestagon layouts into the layout cache before binding",
     )
     srv.add_argument(
         "--check-interval",

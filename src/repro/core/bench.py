@@ -34,7 +34,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-import warnings
 import os
 
 from dataclasses import asdict, dataclass, field, replace
@@ -60,13 +59,9 @@ from ..physical_design.nanoplacer import (
     nanoplacer_layout,
 )
 from ..physical_design.ortho import OrthoError, OrthoParams
-from .facet_index import FacetIndex, records_digest
+from .facet_index import FacetIndex
 from .selection import AbstractionLevel, Selection
-from .store import (
-    DEFAULT_LAYOUT_CACHE_SIZE,
-    ArtifactNotFoundError,
-    ArtifactStore,
-)
+from .store import ArtifactNotFoundError, ArtifactStore
 
 #: Short library tags used in file names, like the upstream site.
 _LIBRARY_TAGS = {"QCA ONE": "ONE", "Bestagon": "Bestagon"}
@@ -640,23 +635,21 @@ class BenchmarkDatabase:
     and gate-level payloads are read from a compressed pack file behind
     a parsed-layout LRU (:class:`~repro.core.store.ArtifactStore`).
     Both layers are transparent — loose ``.fgl`` files stay the
-    canonical artifacts, legacy databases without the sidecars work
-    unchanged, and ``_query_linear`` retains the original scan as the
-    differential oracle.
+    canonical artifacts, legacy databases without a pack work
+    unchanged, the facet index is built in memory from the records, and
+    ``_query_linear`` retains the original scan as the differential
+    oracle.
     """
 
     INDEX_NAME = "index.json"
 
-    def __init__(
-        self, root, layout_cache_size: int = DEFAULT_LAYOUT_CACHE_SIZE
-    ) -> None:
+    def __init__(self, root) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._records: list[BenchmarkFile] = []
         self._flow_cache: dict[str, dict] = {}
         self._facets: FacetIndex | None = None
-        self._facet_status = "missing"
-        self.store = ArtifactStore(self.root, layout_cache_size=layout_cache_size)
+        self.store = ArtifactStore(self.root)
         self._load_index()
 
     # -- persistence ----------------------------------------------------------
@@ -670,22 +663,6 @@ class BenchmarkDatabase:
             data = json.loads(path.read_text(encoding="utf-8"))
             self._records = [BenchmarkFile.from_json(r) for r in data.get("files", [])]
             self._flow_cache = data.get("flow_cache", {})
-            # Stale or missing sidecars fall back to an in-memory build
-            # on the first query.  A missing sidecar is normal (fresh or
-            # legacy database); a present-but-unusable one means the
-            # acceleration the user persisted is silently gone, which is
-            # worth a warning.
-            self._facets, self._facet_status = FacetIndex.load_with_reason(
-                self.root, self._records
-            )
-            if self.facet_degraded:
-                warnings.warn(
-                    f"facet index sidecar at {self.root / 'facets.json'} is "
-                    f"{self._facet_status}; queries fall back to an "
-                    "in-memory rebuild (re-save the database to refresh it)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
 
     def _save_index(self) -> None:
         data = {"files": [r.to_json() for r in self._records]}
@@ -695,8 +672,6 @@ class BenchmarkDatabase:
         tmp = path.with_name(path.name + ".tmp")
         tmp.write_text(json.dumps(data, indent=2), encoding="utf-8")
         os.replace(tmp, path)
-        self._facet_index().save(self.root, records_digest(self._records))
-        self._facet_status = "loaded"
         self.store.save()
 
     # -- queries -----------------------------------------------------------------
@@ -724,14 +699,7 @@ class BenchmarkDatabase:
         ``best_only`` reads precomputed per-group area rankings; results
         are identical (objects and order) to :meth:`_query_linear`.
         """
-        index = self._facet_index()
-        bits = index.query_bitmap(selection)
-        if selection.best_only:
-            ordinals = index.best_ordinals(bits)
-        else:
-            ordinals = index.iter_ordinals(bits)
-        records = self._records
-        return [records[i] for i in index.sorted_ordinals(ordinals)]
+        return self._facet_index().query(selection, self._records)
 
     def _query_linear(self, selection: Selection) -> list[BenchmarkFile]:
         """The original per-record scan, retained as the differential
@@ -786,7 +754,7 @@ class BenchmarkDatabase:
         for record in self._records:
             if record.abstraction_level is not AbstractionLevel.GATE_LEVEL:
                 continue
-            if self.store.contains(record.path):
+            if self.store.is_packed(record.path):
                 already += 1
                 continue
             loose = self.root / record.path
@@ -801,71 +769,6 @@ class BenchmarkDatabase:
             "already_packed": already,
             "missing": missing,
             **self.store.stats(),
-        }
-
-    # -- snapshots & warm-up ---------------------------------------------------
-
-    def snapshot(self):
-        """An immutable point-in-time view of the current in-memory
-        state (see :mod:`repro.core.snapshot`).
-
-        The returned :class:`~repro.core.snapshot.DatabaseSnapshot`
-        keeps answering queries and downloads identically no matter
-        what this database appends afterwards.  The facet index and
-        pack offset table are copied (bitmaps are immutable ints and
-        entry dicts are never mutated in place, so the copies are
-        cheap); the pack file descriptor and parsed-layout LRU are
-        shared, which is safe because the pack is append-only and the
-        LRU is keyed by content digest.
-        """
-        from .snapshot import make_snapshot
-
-        return make_snapshot(
-            self.root,
-            self.store,
-            epoch=0,
-            records=tuple(self._records),
-            facets=FacetIndex.build(self._records),
-            entries=self.store.entries_snapshot(),
-        )
-
-    def warm(self) -> dict:
-        """Pre-build the serving hot paths instead of paying them on
-        the first request: the facet index (otherwise built by the
-        first :meth:`query`) and the parsed-layout LRU (otherwise
-        populated per :meth:`load_layout` miss).  Returns counters;
-        ``mnt-bench serve --warm`` prints them."""
-        self._facet_index()
-        warmed = failed = 0
-        for record in self._records:
-            if record.abstraction_level is not AbstractionLevel.GATE_LEVEL:
-                continue
-            try:
-                self.store.load_layout(record.path)
-                warmed += 1
-            except (ArtifactNotFoundError, ValueError):
-                failed += 1
-        return {
-            "facet_index_ready": self._facets is not None,
-            "layouts_warmed": warmed,
-            "warm_failures": failed,
-        }
-
-    # -- facet-index observability ---------------------------------------------
-
-    @property
-    def facet_degraded(self) -> bool:
-        """Is a persisted facet sidecar present but unusable (stale,
-        corrupt, wrong version)?  Queries still work — they pay an
-        in-memory rebuild — but the persisted acceleration is gone."""
-        return self._facet_status not in ("loaded", "missing")
-
-    def facet_sidecar_status(self) -> dict:
-        """Facet-index freshness for ``mnt-bench info``/``query --json``."""
-        return {
-            "status": self._facet_status,
-            "degraded": self.facet_degraded,
-            "in_memory": self._facets is not None,
         }
 
     # -- batch analytics -------------------------------------------------------

@@ -25,11 +25,10 @@ keys, bit-for-bit identical to the linear path (the property tests in
 ``tests/core/test_facet_index.py`` assert exact equality, object
 identity included).
 
-The interning tables persist alongside ``index.json`` (see
-:data:`FACETS_NAME`) with a format version and a digest of the record
-list; any mismatch — older format, foreign tool, records edited behind
-the index's back — falls back to an in-memory rebuild, which is a
-single pass over the records.
+The index is never persisted: a database builds it on its first
+query and a served snapshot when it is taken, each in one pass over
+``index.json``'s records — cheaper than loading and validating a
+stored copy.
 """
 
 from __future__ import annotations
@@ -37,17 +36,10 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_right
-from pathlib import Path
 
 from .selection import AbstractionLevel, Selection
 
-#: Bump when the on-disk layout of the sidecar changes.
-FACETS_VERSION = 1
-
-#: Sidecar file name, next to the database's ``index.json``.
-FACETS_NAME = "facets.json"
-
-#: The indexed facets, in persistence order.
+#: The indexed facets.
 FACET_NAMES = (
     "suite",
     "name",
@@ -60,9 +52,8 @@ FACET_NAMES = (
 
 
 def records_digest(records) -> str:
-    """Content digest of a record list — the staleness check tying a
-    persisted :class:`FacetIndex` to the ``index.json`` it was built
-    from."""
+    """Content digest of a record list — the ETag base of a served
+    snapshot (:mod:`repro.core.snapshot`)."""
     payload = json.dumps([r.to_json() for r in records], sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -104,10 +95,6 @@ class FacetIndex:
         bit = 1 << ordinal
         self.num_records += 1
         self.all_mask |= bit
-        self._tally_bitmaps(record, bit)
-        self._add_derived(record, ordinal)
-
-    def _tally_bitmaps(self, record, bit: int) -> None:
         tables = self.bitmaps
 
         def tally(facet: str, value) -> None:
@@ -118,15 +105,6 @@ class FacetIndex:
         tally("suite", record.suite)
         tally("name", record.name)
         tally("abstraction_level", record.abstraction_level.value)
-        if record.abstraction_level is AbstractionLevel.GATE_LEVEL:
-            tally("gate_library", record.gate_library or "")
-            tally("clocking_scheme", record.clocking_scheme or "")
-            tally("algorithm", record.algorithm or "")
-            for optimization in record.optimizations:
-                tally("optimization", optimization)
-
-    def _add_derived(self, record, ordinal: int) -> None:
-        """The non-persisted structures: sort keys and best-only groups."""
         area = record.area
         self._sort_keys.append(
             (
@@ -137,17 +115,34 @@ class FacetIndex:
                 area if area is not None else 0,
             )
         )
-        if record.abstraction_level is AbstractionLevel.GATE_LEVEL:
-            group = (record.suite, record.name, record.gate_library)
-            rank = _area_rank(record)
-            ranks = self._group_ranks.setdefault(group, [])
-            ordinals = self._groups.setdefault(group, [])
-            # Stable: equal ranks keep record order, like a stable sort.
-            position = bisect_right(ranks, rank)
-            ranks.insert(position, rank)
-            ordinals.insert(position, ordinal)
+        if record.abstraction_level is not AbstractionLevel.GATE_LEVEL:
+            return
+        tally("gate_library", record.gate_library or "")
+        tally("clocking_scheme", record.clocking_scheme or "")
+        tally("algorithm", record.algorithm or "")
+        for optimization in record.optimizations:
+            tally("optimization", optimization)
+        group = (record.suite, record.name, record.gate_library)
+        rank = _area_rank(record)
+        ranks = self._group_ranks.setdefault(group, [])
+        ordinals = self._groups.setdefault(group, [])
+        # Stable: equal ranks keep record order, like a stable sort.
+        position = bisect_right(ranks, rank)
+        ranks.insert(position, rank)
+        ordinals.insert(position, ordinal)
 
     # -- querying -------------------------------------------------------------
+
+    def query(self, selection: Selection, records) -> list:
+        """The ``records`` (the list this index was built from) passing
+        ``selection``, area-best first per function — identical objects
+        and order to ``BenchmarkDatabase._query_linear``."""
+        bits = self.query_bitmap(selection)
+        if selection.best_only:
+            ordinals = self.best_ordinals(bits)
+        else:
+            ordinals = self.iter_ordinals(bits)
+        return [records[i] for i in self.sorted_ordinals(ordinals)]
 
     def _facet_mask(self, facet: str, selected) -> int:
         mask = 0
@@ -226,86 +221,3 @@ class FacetIndex:
     def sorted_ordinals(self, ordinals) -> list[int]:
         """Stable result ordering by the precomputed per-record keys."""
         return sorted(ordinals, key=self._sort_keys.__getitem__)
-
-    # -- persistence ----------------------------------------------------------
-
-    def to_json(self, digest: str) -> dict:
-        return {
-            "version": FACETS_VERSION,
-            "records_digest": digest,
-            "num_records": self.num_records,
-            "bitmaps": {
-                facet: {value: hex(bitmap) for value, bitmap in table.items()}
-                for facet, table in self.bitmaps.items()
-            },
-        }
-
-    def save(self, root, digest: str) -> None:
-        path = Path(root) / FACETS_NAME
-        path.write_text(
-            json.dumps(self.to_json(digest), indent=2), encoding="utf-8"
-        )
-
-    @classmethod
-    def load(cls, root, records) -> "FacetIndex | None":
-        """Load the persisted index, or ``None`` when the sidecar is
-        missing, from another format version, or stale with respect to
-        ``records`` — callers then rebuild from scratch."""
-        index, _ = cls.load_with_reason(root, records)
-        return index
-
-    @classmethod
-    def load_with_reason(cls, root, records) -> tuple["FacetIndex | None", str]:
-        """Like :meth:`load`, plus *why* loading failed.
-
-        Reasons: ``"loaded"`` (index usable), ``"missing"`` (no sidecar
-        — the expected state of a fresh database, not a degradation),
-        ``"version-mismatch"``, ``"stale"`` (record list changed behind
-        the sidecar's back) and ``"corrupt"`` (unparseable or internally
-        inconsistent).  Everything except ``"loaded"``/``"missing"``
-        means queries silently pay an in-memory rebuild — callers
-        surface that (``BenchmarkDatabase`` emits a ``RuntimeWarning``
-        and ``mnt-bench query --json`` carries a degradation note).
-        """
-        path = Path(root) / FACETS_NAME
-        if not path.exists():
-            return None, "missing"
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-            if data.get("version") != FACETS_VERSION:
-                return None, "version-mismatch"
-            if data.get("num_records") != len(records) or data.get(
-                "records_digest"
-            ) != records_digest(records):
-                return None, "stale"
-            bitmaps = {
-                facet: {
-                    str(value): int(bitmap, 16)
-                    for value, bitmap in data["bitmaps"].get(facet, {}).items()
-                }
-                for facet in FACET_NAMES
-            }
-        except (ValueError, KeyError, TypeError, AttributeError):
-            return None, "corrupt"
-        all_mask = (1 << len(records)) - 1
-        # Structural consistency: every record has exactly one suite and
-        # one abstraction level, so those facets must cover the mask
-        # exactly — a corrupted sidecar that still carries the right
-        # digest fails here and triggers a rebuild.
-        suite_cover = 0
-        for bitmap in bitmaps["suite"].values():
-            suite_cover |= bitmap
-        level_cover = 0
-        for bitmap in bitmaps["abstraction_level"].values():
-            level_cover |= bitmap
-        if suite_cover != all_mask or level_cover != all_mask:
-            return None, "corrupt"
-        index = cls()
-        index.num_records = len(records)
-        index.all_mask = all_mask
-        index.bitmaps = bitmaps
-        # The derived structures (best-only groups, sort keys) are cheap
-        # to rebuild from the records and are never persisted.
-        for ordinal, record in enumerate(records):
-            index._add_derived(record, ordinal)
-        return index, "loaded"

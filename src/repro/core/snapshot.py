@@ -3,16 +3,16 @@
 The serving layer (:mod:`repro.serve`) answers queries while
 ``generate``/``optimize`` keep appending to the same database directory.
 The on-disk format already points at a safe concurrency story — the
-pack is append-only, ``index.json``/``facets.json``/``pack_index.json``
-are rewritten whole, and every pack slice is digest-verified — and this
+pack is append-only, ``index.json`` and ``pack_index.json`` are
+rewritten whole, and every pack slice is digest-verified — and this
 module formalises it into a **snapshot/epoch API**:
 
 * :class:`DatabaseSnapshot` pins one *epoch*: a frozen record tuple, a
-  private :class:`~repro.core.facet_index.FacetIndex`, and a frozen
-  pack offset table (:class:`StoreView`).  Everything a reader touches
-  through a snapshot is immutable, so its results are identical before,
-  during and after any concurrent append — the differential test in
-  ``tests/serve/test_snapshot.py`` proves it.
+  private :class:`~repro.core.facet_index.FacetIndex` built from it,
+  and a frozen pack offset table (:class:`StoreView`).  Everything a
+  reader touches through a snapshot is immutable, so its results are
+  identical before, during and after any concurrent append — the
+  differential test in ``tests/serve/test_snapshot.py`` proves it.
 * :class:`SnapshotManager` owns the current snapshot and performs the
   **atomic epoch swap**: :meth:`~SnapshotManager.refresh` re-reads the
   sidecars from disk, builds a complete new snapshot off to the side,
@@ -20,7 +20,7 @@ module formalises it into a **snapshot/epoch API**:
   already hold the old snapshot keep it; new requests see the new
   epoch.  :meth:`~SnapshotManager.maybe_refresh` makes the check cheap
   enough for the request path: a throttled ``os.stat`` signature
-  comparison of the three sidecar files.
+  comparison of the two sidecar files.
 
 Why appends cannot corrupt a pinned reader:
 
@@ -29,9 +29,9 @@ Why appends cannot corrupt a pinned reader:
 * records admitted by a writer land in rewritten sidecars the snapshot
   never re-reads;
 * the writer's on-disk sequence is loose file → ``index.json`` →
-  ``facets.json`` → ``pack_index.json``, so a snapshot taken mid-write
-  can at worst see a record whose pack entry is not yet visible — the
-  read then falls back to the loose file, which already exists.
+  ``pack_index.json``, so a snapshot taken mid-write can at worst see
+  a record whose pack entry is not yet visible — the read then falls
+  back to the loose file, which already exists.
 
 Snapshots share the live store's file descriptor (``os.pread`` is
 seek-free) and its digest-keyed parsed-layout LRU, which is epoch-safe
@@ -40,23 +40,20 @@ by construction.
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .bench import BenchmarkDatabase, BenchmarkFile
 from .facet_index import FacetIndex, records_digest
 from .selection import AbstractionLevel, Selection
-from .store import (
-    DEFAULT_LAYOUT_CACHE_SIZE,
-    PACK_INDEX_NAME,
-    ArtifactStore,
-    ArtifactNotFoundError,
-)
+from .store import PACK_INDEX_NAME, ArtifactStore, ArtifactNotFoundError
 
 #: Sidecar files whose on-disk change means a new epoch is available.
-_GENERATION_FILES = ("index.json", "facets.json", PACK_INDEX_NAME)
+_GENERATION_FILES = (BenchmarkDatabase.INDEX_NAME, PACK_INDEX_NAME)
 
 
 def _generation_signature(root: Path) -> tuple:
@@ -90,8 +87,6 @@ class StoreView:
 
     def is_packed(self, relpath: str) -> bool:
         return relpath in self._entries
-
-    contains = is_packed
 
     def read_text(self, relpath: str) -> str:
         return self._store.read_text(relpath, entries=self._entries)
@@ -144,13 +139,7 @@ class DatabaseSnapshot:
     def query(self, selection: Selection) -> list:
         """Identical semantics to :meth:`BenchmarkDatabase.query`, over
         the pinned facet index."""
-        bits = self.facets.query_bitmap(selection)
-        if selection.best_only:
-            ordinals = self.facets.best_ordinals(bits)
-        else:
-            ordinals = self.facets.iter_ordinals(bits)
-        records = self.records
-        return [records[i] for i in self.facets.sorted_ordinals(ordinals)]
+        return self.facets.query(selection, self.records)
 
     def record_for(self, path: str):
         """The record serving ``path``, or ``None`` (artifact lookup)."""
@@ -177,45 +166,24 @@ class DatabaseSnapshot:
         return build_report(self, selection)
 
 
-def make_snapshot(
-    root: Path,
-    store: ArtifactStore,
-    epoch: int,
-    records: tuple,
-    facets: FacetIndex,
-    entries: dict[str, dict],
-) -> DatabaseSnapshot:
-    """Assemble a snapshot from already-pinned components (no
-    publication) — shared by :class:`SnapshotManager` and
-    :meth:`BenchmarkDatabase.snapshot`."""
-    return DatabaseSnapshot(
-        epoch=epoch,
-        root=Path(root),
-        records=records,
-        digest=records_digest(records),
-        store=StoreView(store, entries),
-        facets=facets,
-        by_path={record.path: record for record in records},
-        created_at=time.time(),
-    )
-
-
 def _build_snapshot(root: Path, store: ArtifactStore, epoch: int) -> DatabaseSnapshot:
     """Pin the on-disk state of ``root`` into a fresh snapshot."""
-    # Imported here: bench.py imports this module's SnapshotManager.
-    from .bench import BenchmarkDatabase, BenchmarkFile
-    import json
-
     index_path = root / BenchmarkDatabase.INDEX_NAME
     records: tuple = ()
     if index_path.exists():
         data = json.loads(index_path.read_text(encoding="utf-8"))
         records = tuple(BenchmarkFile.from_json(r) for r in data.get("files", []))
-    facets = FacetIndex.load(root, records)
-    if facets is None:
-        facets = FacetIndex.build(records)
     entries, _ = ArtifactStore.load_entries(root)
-    return make_snapshot(root, store, epoch, records, facets, entries)
+    return DatabaseSnapshot(
+        epoch=epoch,
+        root=root,
+        records=records,
+        digest=records_digest(records),
+        store=StoreView(store, entries),
+        facets=FacetIndex.build(records),
+        by_path={record.path: record for record in records},
+        created_at=time.time(),
+    )
 
 
 class SnapshotManager:
@@ -227,14 +195,9 @@ class SnapshotManager:
     atomically as writers publish new sidecars.
     """
 
-    def __init__(
-        self,
-        root,
-        layout_cache_size: int = DEFAULT_LAYOUT_CACHE_SIZE,
-        check_interval: float = 1.0,
-    ) -> None:
+    def __init__(self, root, check_interval: float = 1.0) -> None:
         self.root = Path(root)
-        self.store = ArtifactStore(self.root, layout_cache_size=layout_cache_size)
+        self.store = ArtifactStore(self.root)
         #: Seconds between on-disk generation checks in
         #: :meth:`maybe_refresh`; 0 checks on every call.
         self.check_interval = check_interval

@@ -260,13 +260,9 @@ class ArtifactStore:
 
     # -- public API ----------------------------------------------------------
 
-    def contains(self, relpath: str) -> bool:
+    def is_packed(self, relpath: str) -> bool:
         """Is ``relpath`` served from the pack (vs. loose fallback)?"""
         return relpath in self._entries
-
-    # ``contains`` predates the analytics layer; ``is_packed`` is the
-    # public spelling used by ``mnt-bench info``.
-    is_packed = contains
 
     def entry(self, relpath: str) -> dict | None:
         """The pack-index entry for ``relpath`` (offset/length/size/
@@ -451,13 +447,6 @@ class ArtifactStore:
             cached = fgl_to_layout(text)
             self._cache.put(digest, cached)
         return cached.clone()
-
-    def entries_snapshot(self) -> dict[str, dict]:
-        """A frozen copy of the current offset table, for snapshot
-        pinning (entry dicts are never mutated in place, so a shallow
-        copy suffices)."""
-        with self._lock:
-            return dict(self._entries)
 
     def adopt_entries(self, fresh: dict[str, dict]) -> None:
         """Merge a freshly re-read offset table over the live one.

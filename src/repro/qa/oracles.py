@@ -267,7 +267,7 @@ def check_serve_agreement(network: LogicNetwork, flow) -> OracleFailure | None:
     """The HTTP endpoints must agree with the in-process serving API.
 
     Runs the flow, admits the layout into a throwaway database (loose
-    file → index → facets → pack, the writer sequence), starts a real
+    file → index → pack index, the writer sequence), starts a real
     :class:`~repro.serve.app.BenchServer` on an ephemeral port, and
     compares ``/v1/query``, ``/v1/best`` and the artifact download
     against ``query_payload``/``best_payload``/``artifact_text`` on the

@@ -16,8 +16,8 @@ Per-task crash-consistency protocol (the order matters):
 1. admitted artifacts are written (loose file + pack append),
 2. the pack index is flushed (``store.save()``),
 3. the journal line is appended with fsync — **the commit point**,
-4. every ``flush_every`` merges, ``index.json``/``facets.json`` and the
-   scheduler stats are flushed.
+4. every ``flush_every`` merges, ``index.json`` and the scheduler stats
+   are flushed.
 
 Without a journal (``optimize``) steps 2 and 3 are skipped: the pack
 index is flushed together with the index in step 4.
@@ -59,7 +59,7 @@ class SchedulerParams:
     #: Kill still-running exact tasks once their portfolio group already
     #: met the network's area lower bound.
     early_cancel: bool = False
-    #: Flush index.json/facets.json every N merged tasks.
+    #: Flush index.json every N merged tasks.
     flush_every: int = 8
     #: Event-loop poll granularity.
     poll_interval: float = 0.05

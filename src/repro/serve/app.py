@@ -46,7 +46,9 @@ class ServeConfig:
     database: Path
     host: str = "127.0.0.1"
     port: int = 8765
-    #: Pre-build the facet index and parsed-layout cache before binding.
+    #: Parse the Bestagon layouts (the ones ``format=sqd`` downloads
+    #: load) into the layout cache before binding; the facet index is
+    #: built with every snapshot either way.
     warm: bool = False
     #: Seconds between on-disk epoch checks on the request path.
     check_interval: float = 1.0

@@ -142,8 +142,7 @@ class TestDatabaseInfo:
         assert info["packed_artifacts"] == 6
         assert info["loose_artifacts"] == 0
         assert info["compression_ratio"] > 1
-        assert info["facet_index"]["status"] == "loaded"
-        assert not info["facet_index"]["degraded"]
+        assert "facet_index" not in info
         assert info["fallback_decodes"] == 0
         assert info["layout_totals"]["gates"] > 0
 

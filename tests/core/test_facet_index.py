@@ -1,20 +1,21 @@
-"""Differential and persistence tests for the facet-indexed query path.
+"""Differential tests for the facet-indexed query path.
 
 ``BenchmarkDatabase.query`` must be indistinguishable from the retained
 linear scan (``_query_linear``) — same objects, same order — across
 random record sets and random selections, whether the index was built
-in one pass, grown incrementally, or reloaded from its sidecar.
+in one pass or grown incrementally.  The index lives in memory only:
+no ``facets.json`` is written, and one left by an older version is
+never read.
 """
 
 import json
+import warnings
 
-from repro.core import BenchmarkDatabase, Selection
+from repro.benchsuite import get_benchmark
+from repro.cli import main
+from repro.core import BenchmarkDatabase, GenerationParams, Selection
 from repro.core.bench import BenchmarkFile
-from repro.core.facet_index import (
-    FACETS_NAME,
-    FacetIndex,
-    records_digest,
-)
+from repro.core.facet_index import FacetIndex
 from repro.core.selection import AbstractionLevel
 
 SUITES = ("trindade16", "fontes18", "iscas85")
@@ -138,86 +139,46 @@ class TestDifferential:
         assert db._query_linear(Selection.make(best_only=True))[0] is first
 
 
-class TestPersistence:
-    def test_save_load_roundtrip(self, tmp_path, rng):
-        records = random_records(rng, 60)
-        index = FacetIndex.build(records)
-        index.save(tmp_path, records_digest(records))
-        loaded = FacetIndex.load(tmp_path, records)
-        assert loaded is not None
-        assert loaded.bitmaps == index.bitmaps
-        for _ in range(50):
-            selection = random_selection(rng)
-            assert loaded.query_bitmap(selection) == index.query_bitmap(selection)
-
-    def test_missing_sidecar_returns_none(self, tmp_path):
-        assert FacetIndex.load(tmp_path, []) is None
-
-    def test_stale_record_count_rejected(self, tmp_path, rng):
-        records = random_records(rng, 10)
-        FacetIndex.build(records).save(tmp_path, records_digest(records))
-        assert FacetIndex.load(tmp_path, records[:-1]) is None
-
-    def test_stale_digest_rejected(self, tmp_path, rng):
-        records = random_records(rng, 10)
-        FacetIndex.build(records).save(tmp_path, records_digest(records))
-        changed = list(records)
-        changed[0] = BenchmarkFile(
-            suite="other",
-            name="other",
-            abstraction_level=AbstractionLevel.NETWORK,
-            path="other/other.v",
+class TestNoSidecar:
+    def test_generate_writes_no_facets_json(self, tmp_path):
+        params = GenerationParams(
+            exact_max_elements=0, nanoplacer_max_gates=0, inord_evaluations=3,
+            node_cap=60, reproducible=True,
         )
-        assert FacetIndex.load(tmp_path, changed) is None
-
-    def test_wrong_version_rejected(self, tmp_path, rng):
-        records = random_records(rng, 10)
-        index = FacetIndex.build(records)
-        data = index.to_json(records_digest(records))
-        data["version"] = 999
-        (tmp_path / FACETS_NAME).write_text(json.dumps(data), encoding="utf-8")
-        assert FacetIndex.load(tmp_path, records) is None
-
-    def test_garbage_sidecar_rejected(self, tmp_path, rng):
-        records = random_records(rng, 10)
-        (tmp_path / FACETS_NAME).write_text("{definitely not json", encoding="utf-8")
-        assert FacetIndex.load(tmp_path, records) is None
-
-    def test_tampered_bitmaps_fail_coverage_check(self, tmp_path, rng):
-        records = random_records(rng, 10)
-        index = FacetIndex.build(records)
-        data = index.to_json(records_digest(records))
-        # Zero one suite's posting set: the suite facet no longer covers
-        # every record, which the structural check must catch.
-        suite = next(iter(data["bitmaps"]["suite"]))
-        data["bitmaps"]["suite"][suite] = "0x0"
-        (tmp_path / FACETS_NAME).write_text(json.dumps(data), encoding="utf-8")
-        assert FacetIndex.load(tmp_path, records) is None
-
-    def test_database_recovers_from_bad_sidecar(self, tmp_path, rng):
-        records = random_records(rng, 40)
         db = BenchmarkDatabase(tmp_path)
-        db._records.extend(records)
-        db._save_index()
-        (tmp_path / FACETS_NAME).write_text("garbage", encoding="utf-8")
-        reloaded = BenchmarkDatabase(tmp_path)
-        assert reloaded._facets is None  # sidecar rejected at load
-        for _ in range(50):
-            selection = random_selection(rng)
-            assert [r.path for r in reloaded.query(selection)] == [
-                r.path for r in reloaded._query_linear(selection)
-            ]
+        db.generate([get_benchmark("trindade16", "mux21")], params=params)
+        assert (tmp_path / "index.json").exists()
+        assert not (tmp_path / "facets.json").exists()
 
-    def test_database_persists_and_reuses_sidecar(self, tmp_path, rng):
-        records = random_records(rng, 40)
+    def test_old_facets_json_is_ignored(self, tmp_path, rng):
+        """A garbage or stale sidecar from an older version neither warns
+        nor changes a single query answer."""
         db = BenchmarkDatabase(tmp_path)
-        db._records.extend(records)
+        db._records.extend(random_records(rng, 40))
         db._save_index()
-        assert (tmp_path / FACETS_NAME).exists()
-        reloaded = BenchmarkDatabase(tmp_path)
-        assert reloaded._facets is not None  # served from the sidecar
-        for _ in range(50):
-            selection = random_selection(rng)
-            assert [r.path for r in reloaded.query(selection)] == [
-                r.path for r in reloaded._query_linear(selection)
-            ]
+        stale = {
+            "version": 1,
+            "records_digest": "0" * 64,
+            "num_records": 40,
+            "bitmaps": {"suite": {"other": "0x1"}},
+        }
+        for sidecar in ("garbage", json.dumps(stale)):
+            (tmp_path / "facets.json").write_text(sidecar, encoding="utf-8")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                reloaded = BenchmarkDatabase(tmp_path)
+            for _ in range(50):
+                selection = random_selection(rng)
+                assert_identical_results(
+                    reloaded.query(selection), reloaded._query_linear(selection)
+                )
+
+    def test_query_json_has_no_facet_index_key(self, tmp_path, rng, capsys):
+        db = BenchmarkDatabase(tmp_path)
+        db._records.extend(random_records(rng, 10))
+        db._save_index()
+        (tmp_path / "facets.json").write_text("garbage", encoding="utf-8")
+        assert main(["query", "--database", str(tmp_path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["count"] == 10
+        assert "facet_index" not in payload

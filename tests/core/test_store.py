@@ -35,7 +35,7 @@ class TestPackRoundTrip:
         store = ArtifactStore(tmp_path)
         text = fgl_texts(1)[0]
         store.add_text("s/a.fgl", text)
-        assert store.contains("s/a.fgl")
+        assert store.is_packed("s/a.fgl")
         assert store.read_text("s/a.fgl") == text
 
     def test_many_entries_random_payloads(self, tmp_path, rng):
@@ -61,7 +61,7 @@ class TestPackRoundTrip:
         assert (tmp_path / PACK_NAME).exists()
         assert (tmp_path / PACK_INDEX_NAME).exists()
         reloaded = ArtifactStore(tmp_path)
-        assert reloaded.contains("s/a.fgl")
+        assert reloaded.is_packed("s/a.fgl")
         assert reloaded.read_text("s/a.fgl") == text
         reloaded.close()
 
@@ -79,7 +79,7 @@ class TestLooseFallback:
         (tmp_path / "s").mkdir()
         (tmp_path / "s" / "legacy.fgl").write_text("<fgl/>", encoding="utf-8")
         store = ArtifactStore(tmp_path)
-        assert not store.contains("s/legacy.fgl")
+        assert not store.is_packed("s/legacy.fgl")
         assert store.read_text("s/legacy.fgl") == "<fgl/>"
 
     def test_missing_everywhere_raises(self, tmp_path):
@@ -108,7 +108,7 @@ class TestCorruptionRecovery:
         store = ArtifactStore(tmp_path)
         assert store.read_text("s/a.fgl") == text
         # The damaged entry was dropped; the path now serves loose-only.
-        assert not store.contains("s/a.fgl")
+        assert not store.is_packed("s/a.fgl")
         store.close()
 
     def test_truncated_pack_skips_stale_tail(self, tmp_path):
@@ -122,8 +122,8 @@ class TestCorruptionRecovery:
         with open(tmp_path / PACK_NAME, "rb+") as handle:
             handle.truncate(boundary)
         reloaded = ArtifactStore(tmp_path)
-        assert reloaded.contains("s/first.fgl")
-        assert not reloaded.contains("s/second.fgl")
+        assert reloaded.is_packed("s/first.fgl")
+        assert not reloaded.is_packed("s/second.fgl")
         assert reloaded.read_text("s/first.fgl") == first
         reloaded.close()
 
@@ -134,7 +134,7 @@ class TestCorruptionRecovery:
         blob[0] ^= 0xFF
         pack.write_bytes(bytes(blob))
         store = ArtifactStore(tmp_path)
-        assert not store.contains("s/a.fgl")
+        assert not store.is_packed("s/a.fgl")
         assert store.read_text("s/a.fgl") == text
 
     def test_garbage_sidecar_degrades_to_loose(self, tmp_path):
@@ -142,7 +142,7 @@ class TestCorruptionRecovery:
         self._packed_with_loose(tmp_path, text)
         (tmp_path / PACK_INDEX_NAME).write_text("{not json", encoding="utf-8")
         store = ArtifactStore(tmp_path)
-        assert not store.contains("s/a.fgl")
+        assert not store.is_packed("s/a.fgl")
         assert store.read_text("s/a.fgl") == text
 
 
@@ -189,7 +189,7 @@ class TestLayoutCache:
         blob[offset + 4] ^= 0xFF  # flip a payload byte of a's slice only
         pack.write_bytes(bytes(blob))
         store = ArtifactStore(tmp_path)
-        entries = store.entries_snapshot()  # a frozen view keeps a's entry
+        entries, _ = ArtifactStore.load_entries(tmp_path)  # a snapshot's table
         assert layout_to_fgl(store.load_layout("s/a.fgl", entries=entries)) == loose
         assert layout_to_fgl(store.load_layout("s/b.fgl", entries=entries)) == packed
         assert store.stats()["cache_entries"] == 2
@@ -240,7 +240,7 @@ class TestDatabasePack:
         assert stats["packed"] == len(texts)
         assert stats["already_packed"] == 0
         for record in db.files():
-            assert db.store.contains(record.path)
+            assert db.store.is_packed(record.path)
             assert db.artifact_text(record) == texts[record.path]
 
     def test_pack_is_idempotent(self, tmp_path):

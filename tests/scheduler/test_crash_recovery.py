@@ -4,7 +4,7 @@ byte-identical to an uninterrupted run.
 The acceptance scenario for the scheduler: a full Trindade'16 sweep is
 killed with SIGKILL roughly halfway through (measured in journal
 commits), relaunched with ``resume=True``, and the resulting database —
-``index.json``, ``facets.json``, pack index, ``artifacts.pack`` bytes
+``index.json``, pack index, ``artifacts.pack`` bytes
 and every loose artifact — is compared hash-for-hash against a
 reference sweep that was never interrupted.  Journaled flows must not
 re-execute.
@@ -121,7 +121,6 @@ def test_resume_with_truncated_journal(tmp_path):
     torn = b"".join(lines[:5]) + lines[5][: len(lines[5]) // 2]
     journal_path.write_bytes(torn)
     (victim / "index.json").unlink()
-    (victim / "facets.json").unlink(missing_ok=True)
 
     resumed = run_generate(
         victim,
@@ -148,7 +147,6 @@ def test_resume_with_corrupt_middle_line(tmp_path):
     lines[3] = b'{"v": 1, "key": "truncated-mid-wri\n'
     journal_path.write_bytes(b"".join(lines))
     (victim / "index.json").unlink()
-    (victim / "facets.json").unlink(missing_ok=True)
 
     resumed = run_generate(
         victim, benchmarks=specs, scheduler={"resume": True}

@@ -25,7 +25,7 @@ from .conftest import build_serve_db
 
 def _append_variant(root, tag: str) -> str:
     """What ``generate``/``optimize`` do on admission: loose file, then
-    the sidecar rewrite sequence (index → facets → pack index)."""
+    the sidecar rewrite sequence (index → pack index)."""
     db = BenchmarkDatabase(root)
     donor = next(
         r
@@ -156,10 +156,11 @@ def test_refresh_is_noop_without_on_disk_change(private_root):
         manager.close()
 
 
-def test_database_snapshot_method_agrees_with_live_queries(private_root):
+def test_manager_snapshot_agrees_with_live_queries(private_root):
     db = BenchmarkDatabase(private_root)
+    manager = SnapshotManager(private_root)
     try:
-        snapshot = db.snapshot()
+        snapshot = manager.current()
         for selection in SELECTIONS:
             assert [r.path for r in snapshot.query(selection)] == [
                 r.path for r in db.query(selection)
@@ -171,6 +172,7 @@ def test_database_snapshot_method_agrees_with_live_queries(private_root):
         )
         assert snapshot.artifact_text(record) == db.artifact_text(record)
     finally:
+        manager.close()
         db.store.close()
 
 
@@ -202,18 +204,6 @@ def test_epoch_swap_visible_over_http(private_root):
 
 
 # -- warming -----------------------------------------------------------------
-
-
-def test_database_warm_counters(private_root):
-    db = BenchmarkDatabase(private_root)
-    try:
-        stats = db.warm()
-        assert stats["facet_index_ready"] is True
-        assert stats["layouts_warmed"] == 12
-        assert stats["warm_failures"] == 0
-        assert db.store.stats()["cache_entries"] > 0
-    finally:
-        db.store.close()
 
 
 def test_warm_server_serves_layouts_without_reparsing(
