@@ -16,6 +16,7 @@ import pytest
 import repro.core.store as store_module
 from repro.core import BenchmarkDatabase, DatabaseSnapshot, Selection, SnapshotManager
 from repro.core.bench import BenchmarkFile
+from repro.core.facet_index import records_digest
 from repro.core.selection import AbstractionLevel
 from repro.io import layout_to_fgl
 from repro.serve import ServeConfig, make_server
@@ -176,6 +177,69 @@ def test_manager_snapshot_agrees_with_live_queries(private_root):
         db.store.close()
 
 
+def test_old_facets_json_starts_no_epoch(private_root):
+    """``facets.json`` is no generation file: an older version's sidecar
+    written next to a served database neither swaps the epoch nor
+    changes an answer."""
+    manager = SnapshotManager(private_root, check_interval=0.0)
+    try:
+        before = manager.current()
+        answers = [[r.path for r in before.query(s)] for s in SELECTIONS]
+        (private_root / "facets.json").write_text("{not json", encoding="utf-8")
+        assert manager.maybe_refresh() is before
+        assert manager.refresh() is before
+        assert manager.refreshes == 0
+        assert [[r.path for r in before.query(s)] for s in SELECTIONS] == answers
+    finally:
+        manager.close()
+
+
+def test_snapshot_digest_and_facets_follow_the_records(private_root):
+    """Each epoch's ETag base is the digest of its own records, and its
+    facet index is built over exactly those records."""
+    manager = SnapshotManager(private_root, check_interval=0.0)
+    try:
+        first = manager.current()
+        db = BenchmarkDatabase(private_root)
+        assert first.digest == records_digest(db.files())
+        assert first.facets.num_records == len(first.records)
+        db.store.close()
+        relpath = _append_variant(private_root, "digest")
+        second = manager.refresh()
+        assert second.epoch == first.epoch + 1
+        assert second.digest != first.digest
+        assert second.digest == records_digest(second.records)
+        assert second.facets.num_records == len(first.records) + 1
+        mux21 = Selection.make(names=["mux21"], gate_libraries=["QCA ONE"])
+        assert relpath in [r.path for r in second.query(mux21)]
+        assert relpath not in [r.path for r in first.query(mux21)]
+    finally:
+        manager.close()
+
+
+def test_pinned_view_membership_ignores_later_appends(private_root):
+    """``is_packed`` through a pinned view answers for its epoch's table;
+    the shared store's answers for the latest one."""
+    manager = SnapshotManager(private_root, check_interval=0.0)
+    try:
+        first = manager.current()
+        packed = next(
+            r.path
+            for r in first.records
+            if r.abstraction_level is AbstractionLevel.GATE_LEVEL
+        )
+        assert first.store.is_packed(packed)
+        assert manager.store.is_packed(packed)
+        relpath = _append_variant(private_root, "membership")
+        second = manager.refresh()
+        assert not first.store.is_packed(relpath)
+        assert second.store.is_packed(relpath)
+        assert manager.store.is_packed(relpath)
+        assert first.store.is_packed(packed) and second.store.is_packed(packed)
+    finally:
+        manager.close()
+
+
 def test_epoch_swap_visible_over_http(private_root):
     server = make_server(
         ServeConfig(database=private_root, port=0, check_interval=0.0)
@@ -204,6 +268,21 @@ def test_epoch_swap_visible_over_http(private_root):
 
 
 # -- warming -----------------------------------------------------------------
+
+
+def test_manager_warm_counters(private_root):
+    """``warm`` parses exactly the Bestagon layouts into the shared LRU
+    and reports how many; the facet index needs no warming."""
+    manager = SnapshotManager(private_root)
+    try:
+        bestagon = [
+            r for r in manager.current().records if r.gate_library == "Bestagon"
+        ]
+        assert len(bestagon) == 4
+        assert manager.warm() == {"layouts_warmed": 4, "warm_failures": 0}
+        assert manager.store.stats()["cache_entries"] == 4
+    finally:
+        manager.close()
 
 
 def test_warm_server_serves_layouts_without_reparsing(
